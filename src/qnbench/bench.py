@@ -38,6 +38,10 @@ RUNS_HEADER = [
 TRACE_HEADER = ["k", "f_bar", "g_inf", "g_two", "mu", "alpha", "delta", "set", "rejections", "f_calls", "g_calls"]
 PROFILE_HEADER = ["solver", "tau", "rho"]
 
+# User seeds lie in [0, SEED_LIMIT): derive_oracle_seed is one-to-one there
+# and would silently alias seeds outside it (-1 and 2**63 - 1, for one).
+SEED_LIMIT = 2**63
+
 
 @dataclass
 class RunRecord:
@@ -74,7 +78,7 @@ class ProfileCurve:
 def derive_oracle_seed(problem_name: str, seed: int) -> int:
     """Stable 63-bit seed from (problem, user seed); independent of solver."""
     h = zlib.crc32(problem_name.encode("utf-8"))
-    return (seed * 0x9E3779B97F4A7C15 + h) & (2**63 - 1)
+    return (seed * 0x9E3779B97F4A7C15 + h) & (SEED_LIMIT - 1)
 
 
 def _execute(task):
@@ -128,9 +132,13 @@ def run_matrix(
     Returns the canonically sorted list of :class:`RunRecord`; with
     ``keep_traces`` a dict mapping (problem, solver, seed) to the iteration
     trace is returned alongside. ``eps_f="auto"`` resolves to the model's
-    default error rate. Unknown problem or solver names fail before any run.
+    default error rate. Unknown problem or solver names and seeds outside
+    ``[0, SEED_LIMIT)`` fail before any run.
     """
     seeds = list(seeds)
+    for seed in seeds:
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed {seed} outside [0, 2**63)")
     for solver_name in solvers:
         if solver_name not in VARIANTS:
             raise ValueError(f"unknown solver {solver_name!r}")

@@ -13,6 +13,7 @@ import math
 import click
 
 from .bench import (
+    SEED_LIMIT,
     emit_csv,
     emit_svg,
     performance_profile,
@@ -26,12 +27,18 @@ from .solver import SolverConfig
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """Accept ``7``, ``0,3,5`` or an inclusive range ``0..19``."""
+    """Accept ``7``, ``0,3,5`` or an inclusive range ``0..19`` of seeds in
+    ``[0, 2**63)``."""
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
+    for seed in seeds:
+        if not 0 <= seed < SEED_LIMIT:
+            raise click.BadParameter(f"seed {seed} outside [0, 2**63)")
+    return seeds
 
 
 def parse_noise(spec: str, grad_mode: str) -> NoiseModel:

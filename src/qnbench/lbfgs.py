@@ -171,30 +171,38 @@ class LbfgsMemory:
 
         ``B_mu`` is the BFGS matrix built from the mu-shifted pairs starting
         at ``shifted_gamma(mu) * I``; with empty memory this degrades to
-        ``-g / (1 + mu)``. Scalar products of shifted vectors reuse the
-        cached ``sy``, ``yy``, ``ss`` values.
+        ``-g / (1 + mu)``. Each shifted vector ``y + mu*s`` and its
+        ``1 / (s'y + mu*||s||^2)`` is formed once per call, from the cached
+        ``sy`` and ``ss``, and serves both loops. At ``mu == 0`` the stored
+        ``y_bar`` and ``sy`` are used as they are.
         """
         if mu < 0.0:
             raise ValueError("mu must be nonnegative")
         g = np.asarray(g, dtype=float)
-        if not self._pairs:
+        pairs = self._pairs
+        if not pairs:
             return -g / (1.0 + mu)
-        q = g.copy()
-        alphas = np.empty(len(self._pairs))
-        rhos = np.empty(len(self._pairs))
-        for i in range(len(self._pairs) - 1, -1, -1):
-            p = self._pairs[i]
-            sy_mu = p.sy + mu * p.ss
+        if mu == 0.0:
+            ys = [p.y_bar for p in pairs]
+            sys_mu = [p.sy for p in pairs]
+        else:
+            ys = [p.y_bar + mu * p.s for p in pairs]
+            sys_mu = [p.sy + mu * p.ss for p in pairs]
+        rhos = []
+        for sy_mu in sys_mu:
             if sy_mu <= 0.0:
                 raise ValueError("shifted pair lost positive curvature")
-            rhos[i] = 1.0 / sy_mu
-            alphas[i] = rhos[i] * float(p.s @ q)
-            q -= alphas[i] * (p.y_bar + mu * p.s)
+            rhos.append(1.0 / sy_mu)
+        q = g.copy()
+        alphas = [0.0] * len(pairs)
+        for i in range(len(pairs) - 1, -1, -1):
+            alpha = rhos[i] * float(pairs[i].s @ q)
+            alphas[i] = alpha
+            q -= alpha * ys[i]
         r = q / self.shifted_gamma(mu)
-        for i in range(len(self._pairs)):
-            p = self._pairs[i]
-            beta = rhos[i] * float((p.y_bar + mu * p.s) @ r)
-            r += (alphas[i] - beta) * p.s
+        for i in range(len(pairs)):
+            beta = rhos[i] * float(ys[i] @ r)
+            r += (alphas[i] - beta) * pairs[i].s
         return -r
 
     def materialize(self, mu: float, n: int) -> Array:

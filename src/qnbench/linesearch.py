@@ -15,6 +15,7 @@ bound. Rejected steps are shrunk by quadratic interpolation clipped to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,11 +54,19 @@ class LineSearchResult:
     took_grad_probe: bool = False
 
 
-def compute_delta(eps_f: float, f_bar_x: float, f_bar_trial: float) -> float:
-    """Error-absorbing slack for one acceptance test."""
+def _check_eps_f(eps_f: float) -> None:
     if not 0.0 <= eps_f < 1.0:
         raise ValueError("eps_f must lie in [0, 1)")
+
+
+def _delta(eps_f: float, f_bar_x: float, f_bar_trial: float) -> float:
     return (2.0 * eps_f / (1.0 - eps_f)) * max(1.0, f_bar_x, -f_bar_trial)
+
+
+def compute_delta(eps_f: float, f_bar_x: float, f_bar_trial: float) -> float:
+    """Error-absorbing slack for one acceptance test."""
+    _check_eps_f(eps_f)
+    return _delta(eps_f, f_bar_x, f_bar_trial)
 
 
 def _interpolate(alpha: float, f0: float, gtd: float, f_trial: float, cfg: LineSearchConfig) -> float:
@@ -71,7 +80,7 @@ def _interpolate(alpha: float, f0: float, gtd: float, f_trial: float, cfg: LineS
         cand = -gtd * alpha * alpha / denom
     else:
         cand = 0.5 * alpha
-    if not np.isfinite(cand):
+    if not math.isfinite(cand):
         cand = 0.5 * alpha
     return min(max(cand, cfg.beta_min * alpha), cfg.beta_max * alpha)
 
@@ -121,15 +130,18 @@ def backtrack(
     """
     if eps_f is None:
         eps_f = oracle.eps_f
+    _check_eps_f(eps_f)
+    f_bar = oracle.f_bar
+    c = cfg.c
     gtd = float(g @ d)
     alpha = 1.0
     probes = 0
     exhausted = False
     while True:
-        f_trial = oracle.f_bar(x + alpha * d)
+        f_trial = f_bar(x + alpha * d)
         probes += 1
-        delta = compute_delta(eps_f, f_bar_x, f_trial)
-        if f_bar_x + cfg.c * alpha * gtd + delta >= f_trial:
+        delta = _delta(eps_f, f_bar_x, f_trial)
+        if f_bar_x + c * alpha * gtd + delta >= f_trial:
             break
         if probes - 1 >= cfg.max_rejections:
             exhausted = True
@@ -146,10 +158,10 @@ def backtrack(
         if alpha2 == 1.0:
             g_new = g_try
         else:
-            f_trial2 = oracle.f_bar(x + alpha2 * d)
+            f_trial2 = f_bar(x + alpha2 * d)
             probes += 1
-            delta2 = compute_delta(eps_f, f_bar_x, f_trial2)
-            if f_bar_x + cfg.c * alpha2 * gtd + delta2 >= f_trial2:
+            delta2 = _delta(eps_f, f_bar_x, f_trial2)
+            if f_bar_x + c * alpha2 * gtd + delta2 >= f_trial2:
                 alpha, f_trial, delta = alpha2, f_trial2, delta2
                 rescaled = True
             else:

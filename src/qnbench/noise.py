@@ -13,11 +13,17 @@ and gradient evaluations and counts every call. Three models are supported:
 
 Draws come from a counter-based Philox stream seeded per oracle instance,
 so identical (kind, seed, call-sequence) triples reproduce identical noisy
-values bit for bit, independent of platform.
+values bit for bit, independent of platform. The oracle draws the stream in
+blocks of :data:`DRAW_BLOCK` values and hands them out in call order: the
+objective and ``rank1`` gradients take one value each, ``percomp`` gradients
+take ``n``. A single sized ``uniform`` draw equals the same number of scalar
+draws bit for bit, so every noisy value equals the one an uninterrupted
+per-oracle stream, drawn call by call, would give.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +40,10 @@ GRAD_MODES = ("percomp", "rank1")
 # epsilon of the evaluation format, to cover accumulated round-off.
 CAST_EPS_F = {64: 2.22e-9, 32: 1.19e-3, 16: 9.77e-2}
 UNIFORM_EPS_F = 1e-2
+
+# Uniform noise values drawn from the Philox stream per refill. A scalar
+# Generator call costs microseconds of dispatch; a block amortises it.
+DRAW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,23 @@ class NoisyOracle:
         self.f_calls = 0
         self.g_calls = 0
         self._rng = np.random.Generator(np.random.Philox(model.seed))
+        self._block = np.empty(0)
+        self._used = 0
+
+    def _uniform(self, size: int) -> Array:
+        """The next ``size`` values of the oracle's uniform noise stream."""
+        block, used = self._block, self._used
+        end = used + size
+        if end <= block.size:
+            self._used = end
+            return block[used:end]
+        # Leftover values first, then the head of a fresh block (or of one
+        # exactly as long as the rest of a larger draw).
+        level = self.model.level
+        need = end - block.size
+        self._block = self._rng.uniform(-level, level, size=max(DRAW_BLOCK, need))
+        self._used = need
+        return np.concatenate((block[used:], self._block[:need]))
 
     def _cast_input(self, x: Array) -> Array:
         bits = self.model.bits
@@ -122,10 +149,10 @@ class NoisyOracle:
         if kind == "exact":
             val = self.problem.f(x)
         elif kind == "additive_uniform":
-            val = self.problem.f(x) + self._rng.uniform(-self.model.level, self.model.level)
+            val = self.problem.f(x) + self._uniform(1)[0]
         else:
             val = self.problem.f(self._cast_input(x))
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise OracleError(f"non-finite objective under {kind} model", x=x, kind=kind)
         return float(val)
 
@@ -139,12 +166,12 @@ class NoisyOracle:
         elif kind == "additive_uniform":
             g = self.problem.grad(x)
             if self.model.grad_mode == "percomp":
-                g = g + self._rng.uniform(-self.model.level, self.model.level, size=g.shape)
+                g = g + self._uniform(g.size)
             else:
-                g = g + self._rng.uniform(-self.model.level, self.model.level)
+                g = g + self._uniform(1)[0]
         else:
             g = self.problem.grad(self._cast_input(x))
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise OracleError(f"non-finite gradient under {kind} model", x=x, kind=kind)
         return np.asarray(g, dtype=float)
 

@@ -87,7 +87,7 @@ def make_chained_rosenbrock(n: int) -> ObjectiveProblem:
     """sum_{i<n} 100 (x_{i+1} - x_i^2)^2 + (1 - x_i)^2."""
 
     def f(x):
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        return float(np.add.reduce(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
     def grad(x):
         g = np.zeros_like(x)
@@ -109,7 +109,7 @@ def make_ext_rosenbrock(n: int) -> ObjectiveProblem:
 
     def f(x):
         a, b = x[0::2], x[1::2]
-        return float(np.sum(100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2))
+        return float(np.add.reduce(100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2))
 
     def grad(x):
         g = np.zeros_like(x)
@@ -182,7 +182,7 @@ def make_ext_powell(n: int) -> ObjectiveProblem:
     def f(x):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
         return float(
-            np.sum((a + 10.0 * b) ** 2 + 5.0 * (c - d) ** 2 + (b - 2.0 * c) ** 4 + 10.0 * (a - d) ** 4)
+            np.add.reduce((a + 10.0 * b) ** 2 + 5.0 * (c - d) ** 2 + (b - 2.0 * c) ** 4 + 10.0 * (a - d) ** 4)
         )
 
     def grad(x):
@@ -208,7 +208,7 @@ def make_dixon_price(n: int) -> ObjectiveProblem:
 
     def f(x):
         t = 2.0 * x[1:] ** 2 - x[:-1]
-        return float((x[0] - 1.0) ** 2 + np.sum(idx * t**2))
+        return float((x[0] - 1.0) ** 2 + np.add.reduce(idx * t**2))
 
     def grad(x):
         t = 2.0 * x[1:] ** 2 - x[:-1]
@@ -227,7 +227,7 @@ def make_trigonometric(n: int) -> ObjectiveProblem:
 
     def residuals(x):
         c = np.cos(x)
-        return n - np.sum(c) + idx * (1.0 - c) - np.sin(x)
+        return n - np.add.reduce(c) + idx * (1.0 - c) - np.sin(x)
 
     def f(x):
         r = residuals(x)
@@ -236,7 +236,7 @@ def make_trigonometric(n: int) -> ObjectiveProblem:
     def grad(x):
         r = residuals(x)
         s = np.sin(x)
-        return 2.0 * s * np.sum(r) + 2.0 * r * (idx * s - np.cos(x))
+        return 2.0 * s * np.add.reduce(r) + 2.0 * r * (idx * s - np.cos(x))
 
     return ObjectiveProblem(f"trigonometric_n{n}", n, f, grad, np.full(n, 1.0 / n), 0.0)
 
@@ -268,7 +268,7 @@ def make_penalty1(n: int, a: float = 1e-5) -> ObjectiveProblem:
     """Penalty function with a soft norm constraint; flat near the solution."""
 
     def f(x):
-        return float(a * np.sum((x - 1.0) ** 2) + (x @ x - 0.25) ** 2)
+        return float(a * np.add.reduce((x - 1.0) ** 2) + (x @ x - 0.25) ** 2)
 
     def grad(x):
         return 2.0 * a * (x - 1.0) + 4.0 * (float(x @ x) - 0.25) * x

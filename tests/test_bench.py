@@ -1,6 +1,7 @@
 import copy
 import math
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -10,6 +11,7 @@ from qnbench.bench import (
     RunRecord,
     RUNS_HEADER,
     aggregate_seeds,
+    derive_oracle_seed,
     emit_csv,
     emit_svg,
     performance_profile,
@@ -56,6 +58,14 @@ class TestRunMatrix:
             run_matrix(["nope_n1"], ["ours"], NoiseModel(), 1e-2, [0])
         with pytest.raises(ValueError):
             run_matrix(["sphere_n10"], ["warp_drive"], NoiseModel(), 1e-2, [0])
+
+    def test_out_of_range_seeds_fail_before_running(self):
+        # Outside [0, 2**63) derived oracle seeds alias: -1 would silently
+        # rerun seed 2**63 - 1.
+        assert derive_oracle_seed("sphere_n10", -1) == derive_oracle_seed("sphere_n10", 2**63 - 1)
+        for bad in (-1, 2**63):
+            with pytest.raises(ValueError, match="outside"):
+                run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0, bad])
 
     def test_parallel_matches_serial_except_wall_time(self, tmp_path):
         model = NoiseModel(kind="additive_uniform", level=1e-3)
@@ -229,6 +239,17 @@ class TestCli:
         assert parse_seeds("7") == [7]
         assert parse_seeds("0,2,5") == [0, 2, 5]
         assert parse_seeds("0..4") == [0, 1, 2, 3, 4]
+        for spec in ("-3..-1", "-1", "0,-2", str(2**63)):
+            with pytest.raises(click.BadParameter):
+                parse_seeds(spec)
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "r.csv"
+        args = ["run", "--suite", "sphere_n10", "--seeds", "-3..-1", "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert "outside [0, 2**63)" in result.output
+        assert not out.exists()
 
     def test_parse_noise(self):
         assert parse_noise("exact", "percomp").kind == "exact"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qnbench.noise import NoiseModel, NoisyOracle, OracleError, default_eps_f
-from qnbench.problems import get_problem, make_illcond_quadratic
+from qnbench.noise import DRAW_BLOCK, NoiseModel, NoisyOracle, OracleError, default_eps_f
+from qnbench.problems import get_problem, make_illcond_quadratic, make_sphere
 
 
 def test_default_eps_f_table():
@@ -70,6 +70,35 @@ def test_identical_seed_and_call_sequence_is_bit_identical():
     seq_a = [a.f_bar(x), *a.grad_bar(x), a.f_bar(x), *a.grad_bar(x)]
     seq_b = [b.f_bar(x), *b.grad_bar(x), b.f_bar(x), *b.grad_bar(x)]
     assert seq_a == seq_b
+
+
+@pytest.mark.parametrize(
+    "n, grad_mode, pattern",
+    [
+        (10, "percomp", "fgffgggf" * 200),
+        (10_000, "percomp", "fgfggfffg"),
+        (10, "rank1", "fgffgggf" * 1100),
+    ],
+    ids=["percomp_n10", "percomp_n10000", "rank1_n10"],
+)
+def test_buffered_draws_equal_the_raw_philox_stream(n, grad_mode, pattern):
+    # At x = 0 the sphere's f and grad vanish, so the oracle returns the
+    # noise itself; it must be the per-oracle stream drawn call by call.
+    level, seed = 1e-3, 2026
+    model = NoiseModel(kind="additive_uniform", level=level, seed=seed, grad_mode=grad_mode)
+    o = NoisyOracle(make_sphere(n), model)
+    ref = np.random.Generator(np.random.Philox(seed))
+    x = np.zeros(n)
+    for call in pattern:
+        if call == "f":
+            assert o.f_bar(x) == ref.uniform(-level, level)
+        elif grad_mode == "percomp":
+            assert np.array_equal(o.grad_bar(x), ref.uniform(-level, level, size=n))
+        else:
+            assert np.array_equal(o.grad_bar(x), np.full(n, ref.uniform(-level, level)))
+    draws = pattern.count("f") + pattern.count("g") * (n if grad_mode == "percomp" else 1)
+    assert draws > 2 * DRAW_BLOCK
+    assert (o.f_calls, o.g_calls) == (pattern.count("f"), pattern.count("g"))
 
 
 def test_different_seed_differs():
