@@ -132,10 +132,19 @@ def run_matrix(
     Returns the canonically sorted list of :class:`RunRecord`; with
     ``keep_traces`` a dict mapping (problem, solver, seed) to the iteration
     trace is returned alongside. ``eps_f="auto"`` resolves to the model's
-    default error rate. Unknown problem or solver names and seeds outside
-    ``[0, SEED_LIMIT)`` fail before any run.
+    default error rate. An empty or repeating problem, solver or seed list,
+    unknown problem or solver names and seeds outside ``[0, SEED_LIMIT)``
+    fail before any run.
     """
     seeds = list(seeds)
+    for label, items in (("problem", suite), ("solver", solvers), ("seed", seeds)):
+        if not items:
+            raise ValueError(f"empty {label} list")
+        seen = set()
+        for item in items:
+            if item in seen:
+                raise ValueError(f"{label} {item!r} repeated: its runs would be counted twice")
+            seen.add(item)
     for seed in seeds:
         if not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed {seed} outside [0, 2**63)")

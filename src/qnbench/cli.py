@@ -27,14 +27,18 @@ from .solver import SolverConfig
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """Accept ``7``, ``0,3,5`` or an inclusive range ``0..19`` of seeds in
-    ``[0, 2**63)``."""
+    """Accept ``7``, ``0,3,5`` or an inclusive range ``0..19`` of distinct
+    seeds in ``[0, 2**63)``; an empty list is an error."""
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..", 1)
         seeds = list(range(int(lo), int(hi) + 1))
     else:
         seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
+    if not seeds:
+        raise click.BadParameter(f"no seeds in {spec!r}")
+    if len(set(seeds)) != len(seeds):
+        raise click.BadParameter(f"repeated seed in {spec!r}")
     for seed in seeds:
         if not 0 <= seed < SEED_LIMIT:
             raise click.BadParameter(f"seed {seed} outside [0, 2**63)")
@@ -111,6 +115,8 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
 def profile_command(in_path, out_path, svg_path):
     """Compute performance-profile curves from a runs CSV."""
     records = read_runs_csv(in_path)
+    if not records:
+        raise click.BadParameter(f"{in_path} holds no run records", param_hint="--in")
     curves = performance_profile(records)
     emit_csv(curves, out_path)
     _, kept, dropped = performance_ratios(records)

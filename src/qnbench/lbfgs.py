@@ -85,7 +85,7 @@ def screen_pair(
     """
     s = np.asarray(s, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(y_bar))):
+    if not (np.isfinite(s).all() and np.isfinite(y_bar).all()):
         return False
     ss = float(s @ s)
     if ss == 0.0:

@@ -97,7 +97,7 @@ def secant_rescale(alpha: float, d: Array, g: Array, g_try: Array, cfg: LineSear
     dgt = float(d @ g_try)
     if not (dg < 0.0 and dgt > 0.0):
         return alpha
-    if not dgt > 0.5 * float(np.linalg.norm(d)) * float(np.linalg.norm(g_try)):
+    if not dgt > 0.5 * math.sqrt(float(d @ d)) * math.sqrt(float(g_try @ g_try)):
         return alpha
     cand = alpha * (-dg) / (dgt - dg)
     return min(max(cand, cfg.beta_min * alpha), cfg.beta_max * alpha)
@@ -122,6 +122,12 @@ def backtrack(
     small enough steps, so running out indicates a broken error model rather
     than a recoverable state.
 
+    The trial point is absorbing: ``alpha`` strictly decreases after a
+    rejection, and rounding is monotone, so once ``x + alpha * d`` equals
+    ``x`` bitwise every later trial does too. From then on ``x`` itself is
+    probed without recomputing the trial; each probe still makes exactly
+    one ``f_bar`` call, so call counts and noise draws are unchanged.
+
     When ``mu > 0``, ``allow_rescale`` is set and the very first trial is
     accepted, one gradient probe at the trial point may rescale the step by a
     secant factor; the rescaled step is re-tested and the pre-rescale
@@ -135,10 +141,12 @@ def backtrack(
     c = cfg.c
     gtd = float(g @ d)
     alpha = 1.0
+    trial = x + alpha * d
+    x_bytes = None
     probes = 0
     exhausted = False
     while True:
-        f_trial = f_bar(x + alpha * d)
+        f_trial = f_bar(trial)
         probes += 1
         delta = _delta(eps_f, f_bar_x, f_trial)
         if f_bar_x + c * alpha * gtd + delta >= f_trial:
@@ -147,6 +155,12 @@ def backtrack(
             exhausted = True
             break
         alpha = _interpolate(alpha, f_bar_x, gtd, f_trial, cfg)
+        if trial is not x:
+            trial = x + alpha * d
+            if x_bytes is None:
+                x_bytes = x.tobytes()
+            if trial.tobytes() == x_bytes:
+                trial = x
 
     g_new = None
     took_probe = False

@@ -19,6 +19,38 @@ import numpy as np
 Array = np.ndarray
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+class LastValueMemo:
+    """One-entry memo of a pure objective, keyed on the exact bytes of ``x``.
+
+    Only native 1-D float64 arrays take part: the key is ``x.tobytes()``, so
+    in-place mutation of the last argument is a miss, and an array of another
+    dtype or shape that happens to share the bytes bypasses the memo. The
+    state is a single ``(key, value)`` tuple, read and replaced whole, so a
+    concurrent caller at worst misses; it never pairs a key with another
+    key's value.
+    """
+
+    __slots__ = ("__wrapped__", "last")
+
+    def __init__(self, fn: Callable[[Array], float]):
+        self.__wrapped__ = fn
+        self.last = (None, None)
+
+    def __call__(self, x: Array) -> float:
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64 or x.ndim != 1:
+            return self.__wrapped__(x)
+        key = x.tobytes()
+        last = self.last
+        if last[0] == key:
+            return last[1]
+        value = self.__wrapped__(x)
+        self.last = (key, value)
+        return value
+
+
 @dataclass(frozen=True)
 class ObjectiveProblem:
     """A smooth unconstrained minimization problem with an exact gradient.
@@ -27,6 +59,12 @@ class ObjectiveProblem:
     must be the analytic gradient of ``f`` (verified against central finite
     differences in the test suite). ``f_star`` is the known infimum when
     available; it is used only for sanity checks, never by solvers.
+
+    ``f`` must be a pure function of ``x``: construction wraps it in a
+    :class:`LastValueMemo`, which returns the previous value when called
+    again with a bitwise-equal 1-D float64 array. A stalled line search
+    probes the same point many times, and this makes each repeat cost a
+    byte comparison instead of an evaluation.
     """
 
     name: str
@@ -37,6 +75,9 @@ class ObjectiveProblem:
     f_star: Optional[float] = None
 
     def __post_init__(self):
+        # dataclasses.replace re-runs this on an already wrapped ``f``.
+        if not isinstance(self.f, LastValueMemo):
+            object.__setattr__(self, "f", LastValueMemo(self.f))
         if self.dim < 1:
             raise ValueError("dim must be positive")
         if self.x0.shape != (self.dim,):

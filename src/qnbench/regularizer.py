@@ -66,9 +66,10 @@ class RegularizerState:
         effective factor ``mu / G`` stays inside [theta_min, theta_max].
         """
         g_k = np.asarray(g_k, dtype=float)
-        if not np.all(np.isfinite(g_k)):
+        if not np.isfinite(g_k).all():
             raise ValueError("non-finite gradient in regularizer update")
-        self.g_energy += float(g_k @ g_k)
+        gg = float(g_k @ g_k)
+        self.g_energy += gg
         big_g = math.sqrt(self.varsigma + self.g_energy)
-        raw = float(np.linalg.norm(g_k)) / 10.0
+        raw = math.sqrt(gg) / 10.0
         return min(max(raw, self.theta_min * big_g), self.theta_max * big_g)

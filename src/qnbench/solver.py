@@ -18,6 +18,7 @@ the finally accepted point.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -113,7 +114,7 @@ def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, r
         reg = RegularizerState(cfg.varsigma, cfg.theta_min, cfg.theta_max) if regularized else None
 
         for k in range(cfg.k_max):
-            g_inf = float(np.linalg.norm(g, np.inf))
+            g_inf = float(np.abs(g).max())
             if g_inf <= cfg.eps_gtol:
                 status = "converged"
                 break
@@ -165,7 +166,7 @@ def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, r
                     k=k,
                     f_bar=f_bar,
                     g_inf=g_inf,
-                    g_two=float(np.linalg.norm(g)),
+                    g_two=math.sqrt(float(g @ g)),
                     mu=mu,
                     alpha=res.alpha,
                     delta=res.delta,
@@ -192,7 +193,7 @@ def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, r
         f_calls=oracle.f_calls,
         g_calls=oracle.g_calls,
         final_f_bar=f_bar,
-        final_g_inf=float(np.linalg.norm(g, np.inf)),
+        final_g_inf=float(np.abs(g).max()),
         discarded_grad_probes=discarded,
     )
 

@@ -5,6 +5,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+import qnbench.bench as bench_mod
 from qnbench.bench import (
     INF,
     ProfileCurve,
@@ -66,6 +67,23 @@ class TestRunMatrix:
         for bad in (-1, 2**63):
             with pytest.raises(ValueError, match="outside"):
                 run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0, bad])
+
+    def test_empty_or_repeated_lists_fail_before_running(self, monkeypatch):
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench_mod, "_execute", no_run)
+        cases = [
+            ([], ["ours"], [0], "empty problem"),
+            (["sphere_n10"], [], [0], "empty solver"),
+            (["sphere_n10"], ["ours"], [], "empty seed"),
+            (["sphere_n10"], ["ours"], [1, 1], "seed 1 repeated"),
+            (["sphere_n10", "beale_n2", "sphere_n10"], ["ours"], [0], "problem 'sphere_n10' repeated"),
+            (["sphere_n10"], ["ours", "baseline_line", "ours"], [0], "solver 'ours' repeated"),
+        ]
+        for suite, solvers, seeds, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run_matrix(suite, solvers, NoiseModel(), 1e-2, seeds)
 
     def test_parallel_matches_serial_except_wall_time(self, tmp_path):
         model = NoiseModel(kind="additive_uniform", level=1e-3)
@@ -239,7 +257,7 @@ class TestCli:
         assert parse_seeds("7") == [7]
         assert parse_seeds("0,2,5") == [0, 2, 5]
         assert parse_seeds("0..4") == [0, 1, 2, 3, 4]
-        for spec in ("-3..-1", "-1", "0,-2", str(2**63)):
+        for spec in ("-3..-1", "-1", "0,-2", str(2**63), "5..3", ",", "", "1,1", "0,2,0"):
             with pytest.raises(click.BadParameter):
                 parse_seeds(spec)
 
@@ -250,6 +268,23 @@ class TestCli:
         assert result.exit_code == 2
         assert "outside [0, 2**63)" in result.output
         assert not out.exists()
+
+    def test_empty_seed_range_is_usage_error(self, tmp_path):
+        out = tmp_path / "r.csv"
+        result = CliRunner().invoke(main, ["run", "--suite", "sphere_n10", "--seeds", "5..3", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "no seeds" in result.output
+        assert not out.exists()
+
+    def test_profile_of_empty_runs_csv_is_usage_error(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        emit_csv([], runs)
+        assert read_runs_csv(runs) == []
+        prof = tmp_path / "profile.csv"
+        result = CliRunner().invoke(main, ["profile", "--in", str(runs), "--out", str(prof)])
+        assert result.exit_code == 2
+        assert "no run records" in result.output
+        assert not prof.exists()
 
     def test_parse_noise(self):
         assert parse_noise("exact", "percomp").kind == "exact"

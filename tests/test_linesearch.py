@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnbench.linesearch import LineSearchConfig, backtrack, compute_delta, secant_rescale
+from qnbench.linesearch import LineSearchConfig, _interpolate, backtrack, compute_delta, secant_rescale
 from qnbench.noise import NoiseModel, NoisyOracle
 from qnbench.problems import ObjectiveProblem, get_problem
 
@@ -24,9 +24,11 @@ class FixedOracle:
         self.eps_f = eps_f
         self.f_calls = 0
         self.g_calls = 0
+        self.points = []
 
     def f_bar(self, x):
         self.f_calls += 1
+        self.points.append(np.array(x, copy=True))
         if len(self._values) > 1:
             return self._values.pop(0)
         return self._values[0]
@@ -126,6 +128,38 @@ class TestBacktrack:
         assert res.rejections == 12
         assert o.f_calls == 13
         assert cfg.beta_min**12 <= res.alpha <= cfg.beta_max**12
+
+    def test_vanishing_step_probes_x_until_exhausted(self):
+        # alpha * d is lost against x from the first probe on: every trial is
+        # x itself, and each one still costs exactly one objective call
+        o = FixedOracle([10.0], eps_f=0.0)
+        x = np.array([1.0, -3.0])
+        d = np.array([-1e-20, 1e-20])
+        res = backtrack(o, x, d, -d, 0.0, CFG, eps_f=0.0)
+        assert res.exhausted
+        assert o.f_calls == CFG.max_rejections + 1
+        assert len(o.points) == CFG.max_rejections + 1
+        assert all(p.tobytes() == x.tobytes() for p in o.points)
+
+    @pytest.mark.parametrize("x2, absorbs", [(0.0, True), (-0.0, False)])
+    def test_trial_points_match_recomputed_steps(self, x2, absorbs):
+        # The shortcut to x must give the very points x + alpha * d would:
+        # here the step starts visible and vanishes after a few shrinks.
+        # With x2 = -0.0 the trial keeps +0.0 there, equal to x in value
+        # but never bitwise, so x itself must never be probed.
+        o = FixedOracle([10.0], eps_f=0.0)
+        x = np.array([1.0, -0.0, x2, 3.0])
+        d = np.array([-1e-9, -1e-300, 0.0, 2e-12])
+        g = -d
+        res = backtrack(o, x, d, g, 0.0, CFG, eps_f=0.0)
+        alpha, expected = 1.0, []
+        for _ in range(CFG.max_rejections + 1):
+            expected.append(x + alpha * d)
+            alpha = _interpolate(alpha, 0.0, float(g @ d), 10.0, CFG)
+        assert res.exhausted
+        assert [p.tobytes() for p in o.points] == [e.tobytes() for e in expected]
+        assert o.points[0].tobytes() != x.tobytes()
+        assert (o.points[-1].tobytes() == x.tobytes()) == absorbs
 
     def test_smooth_quadratic_rejection_count_bound(self):
         # d = -scale * g on f = t^2/2: model curvature m_est = 1/scale, L = 1.

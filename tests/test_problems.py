@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qnbench.problems import (
     DESK_SUITE,
+    LastValueMemo,
     ObjectiveProblem,
     finite_diff_gradient,
     get_problem,
@@ -10,6 +13,51 @@ from qnbench.problems import (
     registry,
     suite_names,
 )
+
+
+def counted_sum_problem():
+    seen = []
+
+    def f(x):
+        seen.append(x.dtype)
+        return float(np.add.reduce(x, axis=None))
+
+    return ObjectiveProblem("sum_n2", 2, f, lambda x: np.ones(2), np.zeros(2)), seen
+
+
+def test_objective_memo_returns_fresh_values_after_mutation():
+    p, seen = counted_sum_problem()
+    x = np.array([1.0, 2.0])
+    assert p.f(x) == 3.0
+    evaluations = len(seen)
+    assert p.f(x.copy()) == 3.0  # equal bytes, other array: a hit
+    assert len(seen) == evaluations
+    x[0] = 5.0  # in-place mutation of the array the entry was taken from
+    assert p.f(x) == 7.0
+    assert len(seen) == evaluations + 1
+
+
+def test_objective_memo_never_serves_another_dtype_or_shape():
+    p, seen = counted_sum_problem()
+    x = np.array([1.0, 2.0])
+    assert p.f(x) == 3.0
+    for alias in (x.view(np.int64), x.view(np.float32), x.reshape(1, 2)):
+        assert alias.tobytes() == x.tobytes()
+        evaluations = len(seen)
+        assert p.f(alias) == p.f.__wrapped__(alias)
+        assert len(seen) == evaluations + 2
+        assert seen[-1] == alias.dtype
+    assert p.f(x) == 3.0
+
+
+def test_replace_wraps_the_objective_once():
+    p = get_problem("rosenbrock_n2")
+    assert isinstance(p.f, LastValueMemo)
+    assert not isinstance(p.f.__wrapped__, LastValueMemo)
+    q = dataclasses.replace(p, name="renamed_n2")
+    assert q.f is p.f
+    x = np.array([0.5, -0.25])
+    assert q.f(x) == p.f.__wrapped__(x)
 
 
 def test_registry_size_and_unique_names():

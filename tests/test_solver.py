@@ -1,6 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
+import qnbench.solver as solver_mod
+from qnbench.bench import derive_oracle_seed
 from qnbench.noise import NoiseModel
 from qnbench.problems import ObjectiveProblem, get_problem
 from qnbench.solver import SolverConfig, minimize, minimize_baseline, solve
@@ -9,6 +13,39 @@ from qnbench.solver import SolverConfig, minimize, minimize_baseline, solve
 def exact(**kw):
     kw.setdefault("eps_f", 0.0)
     return SolverConfig(**kw)
+
+
+def test_wrapper_over_objective_sees_every_counted_call(monkeypatch):
+    # A timing wrapper put over f on a shallow copy of a registry problem
+    # must see one call per counted objective call, while the memo beneath
+    # it skips re-evaluating the repeated probes of exhausted searches.
+    problem = copy.copy(get_problem("beale_n2"))
+    memo = problem.f
+    clean_fn = memo.__wrapped__
+    backtrack = solver_mod.backtrack
+    counts = {"wrapper": 0, "clean": 0, "exhausted": 0}
+
+    def clean(x):
+        counts["clean"] += 1
+        return clean_fn(x)
+
+    def wrapper(x):
+        counts["wrapper"] += 1
+        return memo(x)
+
+    def counting_backtrack(*args, **kwargs):
+        res = backtrack(*args, **kwargs)
+        counts["exhausted"] += res.exhausted
+        return res
+
+    monkeypatch.setattr(memo, "__wrapped__", clean)
+    monkeypatch.setattr(solver_mod, "backtrack", counting_backtrack)
+    object.__setattr__(problem, "f", wrapper)
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=derive_oracle_seed("beale_n2", 0))
+    res = solve(problem, model, SolverConfig(k_max=60, eps_gtol=1e-2, eps_f=1e-2, variant="baseline_line"))
+    assert counts["exhausted"] > 0
+    assert counts["wrapper"] == res.f_calls
+    assert counts["clean"] < res.f_calls
 
 
 def test_sphere_exact_converges_immediately():
