@@ -10,7 +10,7 @@ from .bench import (
     read_runs_csv,
     run_matrix,
 )
-from .lbfgs import CurvaturePair, LbfgsMemory, bfgs_spectral_bounds, modified_secant, powell_damp, screen_pair
+from .lbfgs import CurvaturePair, LbfgsMemory, modified_secant, powell_damp, screen_pair
 from .linesearch import LineSearchConfig, LineSearchResult, backtrack, compute_delta, secant_rescale
 from .noise import NoiseModel, NoisyOracle, OracleError, default_eps_f
 from .problems import (
@@ -49,7 +49,6 @@ __all__ = [
     "SolverConfig",
     "aggregate_seeds",
     "backtrack",
-    "bfgs_spectral_bounds",
     "compute_delta",
     "default_eps_f",
     "emit_csv",

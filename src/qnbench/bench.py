@@ -20,7 +20,6 @@ import math
 import time
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -91,13 +90,8 @@ def _execute(task):
     return record, (res.trace if keep_trace else None)
 
 
-def record_from_result(
-    problem: str, solver: str, seed: int, res: SolveResult, wall_ms: float, metric: str = "both"
-) -> RunRecord:
-    if res.status == "converged":
-        n = res.f_calls + res.g_calls if metric == "both" else res.f_calls
-    else:
-        n = INF
+def record_from_result(problem: str, solver: str, seed: int, res: SolveResult, wall_ms: float) -> RunRecord:
+    n = res.f_calls + res.g_calls if res.status == "converged" else INF
     return RunRecord(
         problem=problem,
         solver=solver,
@@ -167,6 +161,10 @@ def run_matrix(
                 tasks.append((name, solver_name, seed, model, cfg, keep_traces or trace_dir is not None))
 
     if parallelism > 1:
+        # Imported here: the process pool pulls in multiprocessing and socket,
+        # which a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             outcomes = list(pool.map(_execute, tasks))
     else:

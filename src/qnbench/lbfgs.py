@@ -1,21 +1,39 @@
 """Limited-memory BFGS state built from damped, screened curvature pairs.
 
 The Hessian approximation is never formed: directions come from the
-standard two-loop recursion. A regularization shift ``mu`` is folded into
-the recursion by replacing each stored difference vector ``y`` with
-``y + mu * s``, which turns the recursion into an (approximate) solve with
-the shifted matrix. :meth:`LbfgsMemory.materialize` builds the same shifted
-matrix densely by textbook rank-two updates and exists purely as a test
-oracle for the recursion.
+standard two-loop recursion (Nocedal, Math. Comp. 35, 1980). A
+regularization shift ``mu`` is folded into the recursion by replacing each
+stored difference vector ``y`` with ``y + mu * s``, which turns the
+recursion into an (approximate) solve with the shifted matrix.
 
 Positive definiteness is enforced without Wolfe conditions: raw gradient
 differences are first damped toward ``gamma * s`` (Powell's rule with the
 scalar surrogate ``gamma * I``) and then screened against two curvature
-bounds before being admitted to memory.
+bounds before being admitted to memory. :func:`screen_pair` hands back the
+admitted pair with the inner products it computed, so each is computed once.
+
+Storage. :class:`LbfgsMemory` keeps the pairs as rows of two preallocated
+``(capacity, n)`` arrays ``S`` and ``Y`` used as a ring: a slot list orders
+the rows oldest to newest, and per-slot ``s'y``, ``||y||^2`` and ``||s||^2``
+scalars sit beside them. At ``mu > 0`` the shifted rows ``Y + mu * S`` are
+formed once per call into one more ``(capacity, n)`` buffer, allocated on
+the first such call.
+
+Bit identity. :meth:`LbfgsMemory.direction` performs the textbook
+recursion over per-pair vectors operation for operation, in the same order:
+each inner product is one BLAS ``ddot`` over two contiguous float64 vectors
+(``a.dot(b)`` and ``a @ b`` reach the same routine), and each elementwise
+operation rounds the same whether it runs on one row or on all rows at
+once, or writes into a buffer instead of a new array. So the direction is
+bitwise the one the list-of-pairs form computes; the tests keep that form
+as the reference. The per-iteration inner products here, in the line
+search and in the solver use ``a.dot(b)`` for the same reason: it returns
+the bits ``a @ b`` does, with about half the call overhead at n <= 100.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +44,7 @@ Array = np.ndarray
 SIGMA_DAMP = 0.2
 
 # Curvature screen defaults. Permissive in production; tests tighten them to
-# make the spectral bounds of `bfgs_spectral_bounds` numerically meaningful.
+# make the BFGS spectral bounds numerically meaningful.
 SCREEN_MIN_CURV = 1e-10
 SCREEN_MAX_CURV = 1e10
 
@@ -58,12 +76,12 @@ def powell_damp(s: Array, y: Array, gamma: float) -> Array:
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    ss = float(s @ s)
+    ss = float(s.dot(s))
     if ss == 0.0:
         raise ValueError("cannot damp a zero step")
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    sy = float(s @ y)
+    sy = float(s.dot(y))
     floor = SIGMA_DAMP * gamma * ss
     if sy >= floor:
         return y
@@ -76,27 +94,35 @@ def screen_pair(
     y_bar: Array,
     min_curv: float = SCREEN_MIN_CURV,
     max_curv: float = SCREEN_MAX_CURV,
-) -> bool:
-    """Accept a pair only if both curvature bounds hold.
+) -> CurvaturePair | None:
+    """Return the admitted pair if both curvature bounds hold, else ``None``.
 
     The admitted region is ``y's >= min_curv * ||s||^2`` and
     ``y's >= ||y||^2 / max_curv`` with everything finite and ``s != 0``;
-    pairs inside it keep the resulting BFGS matrix uniformly bounded.
+    pairs inside it keep the resulting BFGS matrix uniformly bounded. The
+    returned :class:`CurvaturePair` refers to ``s`` and ``y_bar`` as given
+    and carries the ``sy``, ``yy`` and ``ss`` computed here, equal to those
+    of :meth:`CurvaturePair.from_vectors`.
     """
     s = np.asarray(s, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
-    if not (np.isfinite(s).all() and np.isfinite(y_bar).all()):
-        return False
-    ss = float(s @ s)
+    ss = float(s.dot(s))
+    yy = float(y_bar.dot(y_bar))
+    if not (math.isfinite(ss) and math.isfinite(yy)):
+        # A finite sum of squares has finite terms only, so an inf or nan
+        # entry can hide only here (next to an overflow of finite ones).
+        if not (np.isfinite(s).all() and np.isfinite(y_bar).all()):
+            return None
     if ss == 0.0:
-        return False
-    sy = float(y_bar @ s)
-    yy = float(y_bar @ y_bar)
+        return None
+    sy = float(y_bar.dot(s))
     # Underflow guard: a subnormal sy passes both inequalities with zeros on
     # both sides, then 1/sy overflows inside the recursion.
-    if not (sy > 0.0 and np.isfinite(1.0 / sy)):
-        return False
-    return sy >= min_curv * ss and sy >= yy / max_curv
+    if not (sy > 0.0 and math.isfinite(1.0 / sy)):
+        return None
+    if sy >= min_curv * ss and sy >= yy / max_curv:
+        return CurvaturePair(s, y_bar, sy, yy, ss)
+    return None
 
 
 def modified_secant(y: Array, s: Array, f_k: float, f_k1: float, g_k: Array, g_k1: Array) -> Array:
@@ -125,119 +151,125 @@ def modified_secant(y: Array, s: Array, f_k: float, f_k1: float, g_k: Array, g_k
 class LbfgsMemory:
     """Ring buffer of admitted curvature pairs plus the initial scaling.
 
-    ``gamma`` is always ``||y||^2 / y's`` of the *oldest* stored pair (1.0
-    when empty); the same rule applied to the shifted pair seeds the
-    regularized recursion.
+    Pairs live in rows of preallocated ``(capacity, n)`` arrays, allocated
+    by the first :meth:`push`, which fixes ``n``; a pair of another length
+    is refused. ``pairs`` returns copies, oldest first. ``gamma`` is always
+    ``||y||^2 / y's`` of the *oldest* stored pair (1.0 when empty); the same
+    rule applied to the shifted pair seeds the regularized recursion.
     """
 
     def __init__(self, capacity: int = 10):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._pairs: list[CurvaturePair] = []
+        self._order: list[int] = []  # occupied slots, oldest first
+        self._sy = [0.0] * capacity
+        self._yy = [0.0] * capacity
+        self._ss = [0.0] * capacity
+        self._s = self._y = self._y_mu = self._tmp = None
+        self._s_rows = self._y_rows = self._y_mu_rows = ()
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._order)
 
     @property
     def pairs(self) -> list[CurvaturePair]:
-        return list(self._pairs)
+        return [
+            CurvaturePair(self._s[i].copy(), self._y[i].copy(), self._sy[i], self._yy[i], self._ss[i])
+            for i in self._order
+        ]
 
     @property
     def gamma(self) -> float:
-        if not self._pairs:
+        if not self._order:
             return 1.0
-        oldest = self._pairs[0]
-        return oldest.yy / oldest.sy
+        i = self._order[0]
+        return self._yy[i] / self._sy[i]
 
     def shifted_gamma(self, mu: float) -> float:
         """Scaling from the oldest pair after the ``y + mu*s`` shift."""
-        if not self._pairs:
+        if not self._order:
             return 1.0 + mu
-        p = self._pairs[0]
-        return (p.yy + 2.0 * mu * p.sy + mu * mu * p.ss) / (p.sy + mu * p.ss)
+        i = self._order[0]
+        sy, ss = self._sy[i], self._ss[i]
+        return (self._yy[i] + 2.0 * mu * sy + mu * mu * ss) / (sy + mu * ss)
 
     def push(self, pair: CurvaturePair) -> None:
-        """Append an (already screened) pair, evicting the oldest when full."""
-        self._pairs.append(pair)
-        if len(self._pairs) > self.capacity:
-            self._pairs.pop(0)
-
-    def clear(self) -> None:
-        self._pairs.clear()
+        """Copy an (already screened) pair into memory, evicting the oldest when full."""
+        s = np.asarray(pair.s, dtype=float)
+        y = np.asarray(pair.y_bar, dtype=float)
+        if self._s is None:
+            if s.ndim != 1 or y.shape != s.shape:
+                raise ValueError(f"pair vectors must be 1-D of one length, got {s.shape} and {y.shape}")
+            n = s.shape[0]
+            self._s = np.empty((self.capacity, n))
+            self._y = np.empty((self.capacity, n))
+            self._tmp = np.empty(n)
+            self._s_rows = tuple(self._s)
+            self._y_rows = tuple(self._y)
+        elif s.shape != self._tmp.shape or y.shape != s.shape:
+            raise ValueError(f"pair of shape {s.shape}/{y.shape} pushed to a memory of length {self._tmp.size}")
+        order = self._order
+        slot = len(order) if len(order) < self.capacity else order.pop(0)
+        order.append(slot)
+        self._s[slot] = s
+        self._y[slot] = y
+        self._sy[slot] = pair.sy
+        self._yy[slot] = pair.yy
+        self._ss[slot] = pair.ss
 
     def direction(self, g: Array, mu: float = 0.0) -> Array:
         """Quasi-Newton direction ``-inv(B_mu) g`` by the two-loop recursion.
 
         ``B_mu`` is the BFGS matrix built from the mu-shifted pairs starting
         at ``shifted_gamma(mu) * I``; with empty memory this degrades to
-        ``-g / (1 + mu)``. Each shifted vector ``y + mu*s`` and its
-        ``1 / (s'y + mu*||s||^2)`` is formed once per call, from the cached
-        ``sy`` and ``ss``, and serves both loops. At ``mu == 0`` the stored
-        ``y_bar`` and ``sy`` are used as they are.
+        ``-g / (1 + mu)``. At ``mu > 0`` the rows ``y + mu*s`` are formed once
+        per call by one multiply and one add over the occupied rows, and each
+        ``1 / (s'y + mu*||s||^2)`` from the cached ``sy`` and ``ss``; both
+        serve both loops. At ``mu == 0`` the stored rows and ``sy`` are used
+        as they are. The result is bitwise that of the recursion over
+        per-pair vectors (see the module docstring).
         """
         if mu < 0.0:
             raise ValueError("mu must be nonnegative")
         g = np.asarray(g, dtype=float)
-        pairs = self._pairs
-        if not pairs:
+        order = self._order
+        if not order:
             return -g / (1.0 + mu)
         if mu == 0.0:
-            ys = [p.y_bar for p in pairs]
-            sys_mu = [p.sy for p in pairs]
+            y_rows = self._y_rows
+            sys_mu = self._sy
         else:
-            ys = [p.y_bar + mu * p.s for p in pairs]
-            sys_mu = [p.sy + mu * p.ss for p in pairs]
-        rhos = []
-        for sy_mu in sys_mu:
-            if sy_mu <= 0.0:
+            if self._y_mu is None:
+                self._y_mu = np.empty_like(self._y)
+                self._y_mu_rows = tuple(self._y_mu)
+            # Slots fill in order, so the occupied rows are the first len(order).
+            k = len(order)
+            y_mu = self._y_mu[:k]
+            np.multiply(self._s[:k], mu, y_mu)
+            np.add(self._y[:k], y_mu, y_mu)
+            y_rows = self._y_mu_rows
+            sys_mu = [sy + mu * ss for sy, ss in zip(self._sy, self._ss)]
+        rhos = [0.0] * self.capacity
+        for i in order:
+            if sys_mu[i] <= 0.0:
                 raise ValueError("shifted pair lost positive curvature")
-            rhos.append(1.0 / sy_mu)
+            rhos[i] = 1.0 / sys_mu[i]
+        s_rows = self._s_rows
+        # Ufuncs take their output positionally: the out= keyword costs more
+        # than the arithmetic at n <= 100.
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        tmp = self._tmp
         q = g.copy()
-        alphas = [0.0] * len(pairs)
-        for i in range(len(pairs) - 1, -1, -1):
-            alpha = rhos[i] * float(pairs[i].s @ q)
+        alphas = [0.0] * self.capacity
+        for i in reversed(order):
+            alpha = rhos[i] * float(s_rows[i].dot(q))
             alphas[i] = alpha
-            q -= alpha * ys[i]
-        r = q / self.shifted_gamma(mu)
-        for i in range(len(pairs)):
-            beta = rhos[i] * float(ys[i] @ r)
-            r += (alphas[i] - beta) * pairs[i].s
-        return -r
-
-    def materialize(self, mu: float, n: int) -> Array:
-        """Dense shifted BFGS matrix, built by rank-two updates (tests only).
-
-        Limited to ``n <= 50``; ``direction(g, mu)`` must agree with
-        ``-inv(materialize(mu, n)) @ g``.
-        """
-        if n > 50:
-            raise ValueError("materialize is a test oracle, n <= 50 only")
-        if not self._pairs:
-            return (1.0 + mu) * np.eye(n)
-        b = self.shifted_gamma(mu) * np.eye(n)
-        for p in self._pairs:
-            y_mu = p.y_bar + mu * p.s
-            sy_mu = p.sy + mu * p.ss
-            bs = b @ p.s
-            sbs = float(p.s @ bs)
-            if sbs <= 0.0 or sy_mu <= 0.0:
-                raise ValueError("BFGS update would divide by a nonpositive curvature")
-            b = b - np.outer(bs, bs) / sbs + np.outer(y_mu, y_mu) / sy_mu
-        return b
-
-
-def bfgs_spectral_bounds(num_pairs: int, min_curv: float, max_curv: float) -> tuple[float, float]:
-    """Eigenvalue envelope [m, M] of a BFGS matrix from screened pairs.
-
-    Any matrix built from ``num_pairs`` pairs inside the screen region has
-    eigenvalues within these bounds; they shrink/grow geometrically with the
-    pair count and the screen condition number.
-    """
-    kappa = max_curv / min_curv
-    big = (1.0 + num_pairs) * max_curv
-    small = 1.0 / (
-        (1.0 + np.sqrt(kappa)) ** (2 * num_pairs)
-        * (1.0 / min_curv + 1.0 / (min_curv * (2.0 * np.sqrt(kappa) + kappa)))
-    )
-    return small, big
+            multiply(y_rows[i], alpha, tmp)
+            subtract(q, tmp, q)
+        np.divide(q, self.shifted_gamma(mu), q)
+        for i in order:
+            beta = rhos[i] * float(y_rows[i].dot(q))
+            multiply(s_rows[i], alphas[i] - beta, tmp)
+            add(q, tmp, q)
+        return np.negative(q, q)

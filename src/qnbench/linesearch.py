@@ -42,9 +42,17 @@ class LineSearchConfig:
 
 @dataclass
 class LineSearchResult:
+    """Outcome of one search.
+
+    ``x_new`` is the accepted trial point, the very array the objective was
+    probed at: bitwise ``x + alpha * d``, and ``x`` itself when the search
+    ended on an absorbed trial.
+    """
+
     alpha: float
     delta: float
     f_bar_new: float
+    x_new: Array
     rejections: int  # objective probes beyond the first (keeps call accounting exact)
     rescaled: bool = False
     exhausted: bool = False
@@ -93,11 +101,11 @@ def secant_rescale(alpha: float, d: Array, g: Array, g_try: Array, cfg: LineSear
     ``d`` (d'g_try > 0.5 ||d|| ||g_try||); otherwise ``alpha`` is returned
     unchanged. The secant factor is clipped to the usual backtracking window.
     """
-    dg = float(d @ g)
-    dgt = float(d @ g_try)
+    dg = float(d.dot(g))
+    dgt = float(d.dot(g_try))
     if not (dg < 0.0 and dgt > 0.0):
         return alpha
-    if not dgt > 0.5 * math.sqrt(float(d @ d)) * math.sqrt(float(g_try @ g_try)):
+    if not dgt > 0.5 * math.sqrt(float(d.dot(d))) * math.sqrt(float(g_try.dot(g_try))):
         return alpha
     cand = alpha * (-dg) / (dgt - dg)
     return min(max(cand, cfg.beta_min * alpha), cfg.beta_max * alpha)
@@ -132,14 +140,15 @@ def backtrack(
     accepted, one gradient probe at the trial point may rescale the step by a
     secant factor; the rescaled step is re-tested and the pre-rescale
     acceptance is restored if it fails. The probe gradient is handed back via
-    ``g_new`` whenever it was taken at the finally accepted point.
+    ``g_new`` whenever it was taken at the finally accepted point, which is
+    returned as ``x_new``.
     """
     if eps_f is None:
         eps_f = oracle.eps_f
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
     c = cfg.c
-    gtd = float(g @ d)
+    gtd = float(g.dot(d))
     alpha = 1.0
     trial = x + alpha * d
     x_bytes = None
@@ -166,17 +175,19 @@ def backtrack(
     took_probe = False
     rescaled = False
     if allow_rescale and mu > 0.0 and probes == 1 and not exhausted:
-        g_try = oracle.grad_bar(x + d)
+        # The first trial is x + 1.0 * d, bitwise x + d.
+        g_try = oracle.grad_bar(trial)
         took_probe = True
         alpha2 = secant_rescale(1.0, d, g, g_try, cfg)
         if alpha2 == 1.0:
             g_new = g_try
         else:
-            f_trial2 = f_bar(x + alpha2 * d)
+            trial2 = x + alpha2 * d
+            f_trial2 = f_bar(trial2)
             probes += 1
             delta2 = _delta(eps_f, f_bar_x, f_trial2)
             if f_bar_x + c * alpha2 * gtd + delta2 >= f_trial2:
-                alpha, f_trial, delta = alpha2, f_trial2, delta2
+                alpha, f_trial, delta, trial = alpha2, f_trial2, delta2, trial2
                 rescaled = True
             else:
                 g_new = g_try
@@ -185,6 +196,7 @@ def backtrack(
         alpha=alpha,
         delta=delta,
         f_bar_new=f_trial,
+        x_new=trial,
         rejections=probes - 1,
         rescaled=rescaled,
         exhausted=exhausted,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lbfgs import CurvaturePair, LbfgsMemory, modified_secant, powell_damp, screen_pair
+from .lbfgs import LbfgsMemory, modified_secant, powell_damp, screen_pair
 from .linesearch import LineSearchConfig, backtrack
 from .noise import NoiseModel, NoisyOracle, OracleError
 from .problems import ObjectiveProblem
@@ -132,7 +132,7 @@ def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, r
                 mu = 0.0
 
             d = memory.direction(g, mu)
-            if float(g @ d) >= 0.0:
+            if float(g.dot(d)) >= 0.0:
                 # Numerically degenerate (underflow-scale gradients); the
                 # screened memory otherwise guarantees descent.
                 d = -g / (1.0 + mu)
@@ -144,7 +144,7 @@ def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, r
             if regularized and eligible:
                 reg.register_k0(f_bar, res.delta)
 
-            x_new = x + res.alpha * d
+            x_new = res.x_new
             if res.g_new is not None:
                 g_new = res.g_new
             else:
@@ -153,20 +153,21 @@ def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, r
                     discarded += 1
 
             s = x_new - x
-            if float(s @ s) > 0.0:
+            if float(s.dot(s)) > 0.0:
                 y = g_new - g
                 if use_ms:
                     y = modified_secant(y, s, f_bar, res.f_bar_new, g, g_new)
                 y_bar = powell_damp(s, y, memory.gamma)
-                if screen_pair(s, y_bar):
-                    memory.push(CurvaturePair.from_vectors(s, y_bar))
+                pair = screen_pair(s, y_bar)
+                if pair is not None:
+                    memory.push(pair)
 
             trace.append(
                 IterationRecord(
                     k=k,
                     f_bar=f_bar,
                     g_inf=g_inf,
-                    g_two=math.sqrt(float(g @ g)),
+                    g_two=math.sqrt(float(g.dot(g))),
                     mu=mu,
                     alpha=res.alpha,
                     delta=res.delta,

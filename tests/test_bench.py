@@ -21,7 +21,7 @@ from qnbench.bench import (
     read_trace_csv,
     run_matrix,
 )
-from qnbench.cli import main, parse_noise, parse_seeds
+from qnbench.cli import main, parse_eps_f, parse_noise, parse_seeds
 from qnbench.noise import NoiseModel
 from qnbench.solver import SolverConfig
 
@@ -286,6 +286,14 @@ class TestCli:
         assert "no run records" in result.output
         assert not prof.exists()
 
+    def test_parse_eps_f(self):
+        assert parse_eps_f("auto") == "auto"
+        assert parse_eps_f("0") == 0.0
+        assert parse_eps_f("0.01") == 0.01
+        for spec in ("1", "-0.1", "nan", "inf", "abc", ""):
+            with pytest.raises(click.BadParameter):
+                parse_eps_f(spec)
+
     def test_parse_noise(self):
         assert parse_noise("exact", "percomp").kind == "exact"
         m = parse_noise("uniform:1e-3", "rank1")
@@ -317,7 +325,34 @@ class TestCli:
     def test_unknown_problem_is_usage_error(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["run", "--suite", "not_a_problem", "--out", str(tmp_path / "r.csv")])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+        assert "unknown problem 'not_a_problem'" in result.output
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--suite", ","),
+            ("--suite", "nope_n1"),
+            ("--suite", "sphere_n10,sphere_n10"),
+            ("--solver", ","),
+            ("--solver", "nope"),
+            ("--solver", "ours,ours"),
+            ("--noise", "uniform:abc"),
+            ("--noise", "uniform:-1"),
+            ("--noise", "cast:8"),
+            ("--kmax", "0"),
+            ("--eps-f", "2"),
+            ("--eps-f", "abc"),
+            ("--seeds", "abc"),
+        ],
+    )
+    def test_bad_run_option_is_usage_error(self, tmp_path, option, value):
+        # Every bad option is refused before any run, as a usage error (exit 2).
+        out = tmp_path / "r.csv"
+        args = ["run", "--suite", "sphere_n10", "--kmax", "5", "--out", str(out), option, value]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
 
     def test_flag_passthrough(self, tmp_path):
         # --fresh-fk, --noise-grad-mode and --metric must reach the solver layer

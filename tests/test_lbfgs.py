@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lbfgs_reference import bfgs_spectral_bounds, materialize, screen_reference, two_loop_reference
 from qnbench.lbfgs import (
     SIGMA_DAMP,
     CurvaturePair,
     LbfgsMemory,
-    bfgs_spectral_bounds,
     modified_secant,
     powell_damp,
     screen_pair,
@@ -27,6 +27,22 @@ def make_screened_memory(rng, n, npairs, lo=0.05, hi=20.0, min_curv=1e-10, max_c
             mem.push(CurvaturePair.from_vectors(s, y))
             count += 1
     return mem
+
+
+def push_random_pairs(rng, mem, n, count):
+    """Push ``count`` screened pairs y = D s with a random positive diagonal D,
+    half of them Powell-damped as the solver does; returns the pairs."""
+    pushed = []
+    while len(pushed) < count:
+        s = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        y = s * rng.uniform(0.05, 20.0, n)
+        if len(pushed) % 2:
+            y = powell_damp(s, y - rng.uniform(0.0, 2.0) * s, mem.gamma)
+        pair = screen_pair(s, y)
+        if pair is not None:
+            mem.push(pair)
+            pushed.append(pair)
+    return pushed
 
 
 class TestPowellDamp:
@@ -111,6 +127,58 @@ class TestScreenPair:
         y = np.full(2, 1e-200)
         assert not screen_pair(s, y)
 
+    @pytest.mark.parametrize(
+        "s, y, kw",
+        [
+            ([1.0, 0.0], [0.0, 0.0], {}),
+            ([1.0, 0.0], [1e6, 0.0], {"max_curv": 1e4}),
+            ([1.0, 0.0], [1e-8, 0.0], {"min_curv": 1e-4}),
+            ([0.0, 0.0], [1.0, 1.0], {}),
+            ([1.0, np.nan], [1.0, 1.0], {}),
+            ([1.0, 1.0], [np.inf, 0.0], {}),
+            ([1e-200, 1e-200], [1e-200, 1e-200], {}),
+            ([1e-160, 0.0], [1e-160, 0.0], {}),  # sy = 1e-320 is subnormal: 1/sy overflows
+        ],
+    )
+    def test_rejection_is_none(self, s, y, kw):
+        assert screen_pair(np.array(s), np.array(y), **kw) is None
+
+    @pytest.mark.parametrize(
+        "s, y",
+        [
+            ([np.inf, 1.0], [1.0, 1.0]),
+            ([1.0, 1.0], [-np.inf, np.inf]),
+            ([np.nan, 0.0], [0.0, 1.0]),
+            ([0.0, 0.0], [np.inf, 0.0]),
+            ([1e200, 1.0], [1.0, 1.0]),  # finite entries whose squares overflow
+            ([1.0, 1.0], [1e200, 1e200]),
+            ([1e200, 0.0], [1e200, 0.0]),
+        ],
+    )
+    def test_extreme_entries_decided_as_the_boolean_screen(self, s, y):
+        s, y = np.array(s), np.array(y)
+        with np.errstate(over="ignore"):
+            assert (screen_pair(s, y) is not None) == screen_reference(s, y)
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+        st.sampled_from([(1e-10, 1e10), (0.5, 2.0)]),
+    )
+    @settings(max_examples=300)
+    def test_admits_what_the_boolean_screen_admits(self, s_vals, y_vals, bounds):
+        # The returned pair carries exactly the inner products from_vectors
+        # computes, so the solver can push it without recomputing them.
+        n = min(len(s_vals), len(y_vals))
+        s = np.array(s_vals[:n])
+        y = np.array(y_vals[:n]) if len(y_vals) % 2 else np.array(s_vals[:n]) * 1.5
+        pair = screen_pair(s, y, *bounds)
+        assert (pair is not None) == screen_reference(s, y, *bounds)
+        if pair is not None:
+            ref = CurvaturePair.from_vectors(s, y)
+            assert (pair.sy, pair.yy, pair.ss) == (ref.sy, ref.yy, ref.ss)
+            assert pair.s is s and pair.y_bar is y
+
 
 class TestMemory:
     def test_gamma_from_single_pair(self):
@@ -143,6 +211,39 @@ class TestMemory:
         with pytest.raises(ValueError):
             LbfgsMemory(0)
 
+    def test_pairs_survive_wraparound_pushes(self):
+        rng = np.random.default_rng(5)
+        mem = LbfgsMemory(3)
+        pushed = push_random_pairs(rng, mem, 4, 3)
+        snapshot = mem.pairs
+        saved = [(p.s.tobytes(), p.y_bar.tobytes(), p.sy, p.yy, p.ss) for p in snapshot]
+        pushed += push_random_pairs(rng, mem, 4, 4)
+        assert [(p.s.tobytes(), p.y_bar.tobytes(), p.sy, p.yy, p.ss) for p in snapshot] == saved
+        # the memory itself holds copies of the newest three pushes, oldest first
+        for kept, p in zip(mem.pairs, pushed[-3:]):
+            assert kept.s.tobytes() == p.s.tobytes() and kept.y_bar.tobytes() == p.y_bar.tobytes()
+            assert (kept.sy, kept.yy, kept.ss) == (p.sy, p.yy, p.ss)
+            assert kept.s is not p.s
+
+    def test_pushed_vectors_are_copied(self):
+        s = np.array([1.0, 0.0])
+        y = np.array([2.0, 0.0])
+        mem = LbfgsMemory(2)
+        mem.push(CurvaturePair.from_vectors(s, y))
+        s[0] = y[0] = -7.0
+        assert mem.pairs[0].s[0] == 1.0 and mem.pairs[0].y_bar[0] == 2.0
+
+    @pytest.mark.parametrize("bad_s, bad_y", [(np.ones(3), np.ones(3)), (np.ones(2), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2)))])
+    def test_push_of_another_length_rejected(self, bad_s, bad_y):
+        mem = LbfgsMemory(3)
+        mem.push(CurvaturePair.from_vectors(np.array([1.0, 0.0]), np.array([2.0, 0.0])))
+        before = [(p.s.tobytes(), p.y_bar.tobytes()) for p in mem.pairs]
+        with pytest.raises(ValueError):
+            mem.push(CurvaturePair(bad_s, bad_y, 1.0, 1.0, 1.0))
+        assert [(p.s.tobytes(), p.y_bar.tobytes()) for p in mem.pairs] == before
+        with pytest.raises(ValueError):
+            LbfgsMemory(3).push(CurvaturePair(np.ones(2), np.ones(3), 1.0, 1.0, 1.0))
+
 
 class TestTwoLoopDirection:
     def test_empty_memory_steepest_descent(self):
@@ -174,9 +275,37 @@ class TestTwoLoopDirection:
             for _ in range(4):
                 g = rng.standard_normal(n)
                 d_fast = mem.direction(g, mu)
-                d_dense = -np.linalg.solve(mem.materialize(mu, n), g)
+                d_dense = -np.linalg.solve(materialize(mem, mu, n), g)
                 denom = max(float(np.linalg.norm(d_dense)), 1e-300)
                 assert float(np.linalg.norm(d_fast - d_dense)) / denom <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 100, 10_000])
+    def test_bitwise_equal_to_list_two_loop(self, n):
+        # Memories of capacity 4 filled one pair at a time, then wrapped more
+        # than twice: every direction must equal the list-of-pairs recursion
+        # bit for bit, shifted or not, including the first mu > 0 call.
+        rng = np.random.default_rng(n)
+        mem = LbfgsMemory(4)
+        g = rng.standard_normal(n)
+        for pushes in range(11):
+            for mu in (0.0, 0.1, 10.0):
+                expected = two_loop_reference(mem.pairs, g, mu)
+                assert mem.direction(g, mu).tobytes() == expected.tobytes()
+            push_random_pairs(rng, mem, n, 1)
+        assert len(mem) == 4
+
+    def test_direction_leaves_memory_and_gradient_untouched(self):
+        rng = np.random.default_rng(3)
+        mem = LbfgsMemory(3)
+        push_random_pairs(rng, mem, 5, 4)
+        before = [(p.s.tobytes(), p.y_bar.tobytes()) for p in mem.pairs]
+        g = rng.standard_normal(5)
+        g_bytes = g.tobytes()
+        d1 = mem.direction(g, 0.5)
+        d2 = mem.direction(g, 0.5)
+        assert d1 is not d2 and d1.tobytes() == d2.tobytes()
+        assert g.tobytes() == g_bytes
+        assert [(p.s.tobytes(), p.y_bar.tobytes()) for p in mem.pairs] == before
 
     def test_descent_property(self):
         rng = np.random.default_rng(7)
@@ -236,16 +365,16 @@ class TestModifiedSecant:
 
 class TestMaterialize:
     def test_empty_memory_identity(self):
-        assert np.array_equal(LbfgsMemory(10).materialize(0.0, 3), np.eye(3))
+        assert np.array_equal(materialize(LbfgsMemory(10), 0.0, 3), np.eye(3))
 
     def test_empty_memory_shifted(self):
-        assert np.array_equal(LbfgsMemory(10).materialize(2.0, 2), 3.0 * np.eye(2))
+        assert np.array_equal(materialize(LbfgsMemory(10), 2.0, 2), 3.0 * np.eye(2))
 
     def test_secant_equation_for_newest_pair(self):
         rng = np.random.default_rng(11)
         for mu in (0.0, 0.7):
             mem = make_screened_memory(rng, 6, 4)
-            b = mem.materialize(mu, 6)
+            b = materialize(mem, mu, 6)
             p = mem.pairs[-1]
             assert b @ p.s == pytest.approx(p.y_bar + mu * p.s, abs=1e-10)
 
@@ -257,11 +386,11 @@ class TestMaterialize:
         shifted = LbfgsMemory(10)
         for p in mem.pairs:
             shifted.push(CurvaturePair.from_vectors(p.s, p.y_bar + mu * p.s))
-        assert shifted.materialize(0.0, 5) == pytest.approx(mem.materialize(mu, 5), rel=1e-12)
+        assert materialize(shifted, 0.0, 5) == pytest.approx(materialize(mem, mu, 5), rel=1e-12)
 
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
-            LbfgsMemory(10).materialize(0.0, 51)
+            materialize(LbfgsMemory(10), 0.0, 51)
 
 
 def test_spectral_bounds_formula_values():
@@ -281,6 +410,6 @@ def test_eigenvalues_within_spectral_bounds():
         for p in mem.pairs:
             assert screen_pair(p.s, p.y_bar, lam, big)
         m, big_m = bfgs_spectral_bounds(len(mem), lam, big)
-        ev = np.linalg.eigvalsh(mem.materialize(0.0, 10))
+        ev = np.linalg.eigvalsh(materialize(mem, 0.0, 10))
         assert ev.min() >= m - 1e-8
         assert ev.max() <= big_m + 1e-8

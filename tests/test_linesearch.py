@@ -19,9 +19,10 @@ def scalar_problem(f, grad, x0=1.0, name="scalar"):
 class FixedOracle:
     """Duck-typed oracle returning scripted objective values."""
 
-    def __init__(self, values, eps_f=0.0):
+    def __init__(self, values, eps_f=0.0, grad=None):
         self._values = list(values)
         self.eps_f = eps_f
+        self._grad = grad
         self.f_calls = 0
         self.g_calls = 0
         self.points = []
@@ -35,7 +36,7 @@ class FixedOracle:
 
     def grad_bar(self, x):
         self.g_calls += 1
-        return np.zeros_like(x)
+        return np.zeros_like(x) if self._grad is None else np.array(self._grad, dtype=float)
 
 
 class TestComputeDelta:
@@ -182,6 +183,46 @@ class TestBacktrack:
             LineSearchConfig(beta_min=0.5, beta_max=0.25)
         with pytest.raises(ValueError):
             LineSearchConfig(max_rejections=0)
+
+
+def _accepted_point_cases():
+    # (label, oracle, x, d, g, f_bar_x, cfg, mu, allow_rescale) for every way a search can end
+    quad = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
+    x1, g1 = np.array([1.0]), np.array([1.0])
+    return [
+        ("first trial accepted", NoisyOracle(get_problem("sphere_n2"), NoiseModel(), eps_f=0.0),
+         np.array([1.0, 0.3]), np.array([-1.0, -0.3]), np.array([1.0, 0.3]), 0.545, CFG, 0.0, False),
+        ("backtracked", NoisyOracle(quad, NoiseModel(), eps_f=0.0), x1, np.array([-4.0]), g1, 0.5, CFG, 0.0, False),
+        ("exhausted", FixedOracle([10.0]), np.array([0.0]), np.array([-1.0]), g1, 0.0,
+         LineSearchConfig(max_rejections=12), 0.0, False),
+        ("absorbed exhaust", FixedOracle([10.0]), np.array([1.0, -3.0]), np.array([-1e-20, 1e-20]),
+         np.array([1e-20, -1e-20]), 0.0, CFG, 0.0, False),
+        # d'g_try = 6 > 0.5 ||d|| ||g_try|| = 3: secant factor 2 / (6 + 2) = 0.25
+        ("rescaled", FixedOracle([0.0, 0.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, CFG, 1.0, True),
+        ("rescale refused", FixedOracle([0.0, 10.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, CFG, 1.0, True),
+    ]
+
+
+class TestAcceptedPoint:
+    @pytest.mark.parametrize("case", _accepted_point_cases(), ids=lambda c: c[0])
+    def test_x_new_is_the_step_the_solver_would_take(self, case):
+        label, o, x, d, g, fx, cfg, mu, allow = case
+        res = backtrack(o, x, d, g, fx, cfg, mu=mu, allow_rescale=allow, eps_f=0.0)
+        assert res.x_new.tobytes() == (x + res.alpha * d).tobytes()
+        flags = {
+            "first trial accepted": res.rejections == 0 and not res.took_grad_probe,
+            "backtracked": res.rejections > 0 and not res.exhausted,
+            "exhausted": res.exhausted and res.x_new is not x,
+            "absorbed exhaust": res.exhausted and res.x_new is x,
+            "rescaled": res.rescaled and res.alpha == 0.25,
+            "rescale refused": res.took_grad_probe and not res.rescaled and res.alpha == 1.0,
+        }
+        assert flags[label]
+        if isinstance(o, FixedOracle):
+            # the accepted point is the last point the objective was probed
+            # at, or the first trial when the rescaled one was refused
+            probed = o.points[0] if label == "rescale refused" else o.points[-1]
+            assert probed.tobytes() == res.x_new.tobytes()
 
 
 class TestSecantRescale:
