@@ -1,70 +1,43 @@
-"""Noise-tolerant regularized quasi-Newton optimization with a benchmark harness."""
+"""Noise-tolerant regularized quasi-Newton optimization with a benchmark harness.
+
+The names here are what a user drives the library with: ``solve`` a
+problem under a noise model with a ``SolverConfig``, or run a whole matrix
+with ``run_matrix`` and compare solvers by ``performance_profile``. The
+building blocks (memory, line search, regularizer, oracle) stay importable
+from their modules.
+"""
 
 from .bench import (
     ProfileCurve,
     RunRecord,
-    aggregate_seeds,
     emit_csv,
     emit_svg,
     performance_profile,
     read_runs_csv,
     run_matrix,
 )
-from .lbfgs import CurvaturePair, LbfgsMemory, modified_secant, powell_damp, screen_pair
-from .linesearch import LineSearchConfig, LineSearchResult, backtrack, compute_delta, secant_rescale
-from .noise import NoiseModel, NoisyOracle, OracleError, default_eps_f
-from .problems import (
-    DESK_SUITE,
-    ObjectiveProblem,
-    finite_diff_gradient,
-    get_problem,
-    registry,
-    suite_names,
-)
-from .regularizer import RegularizerState
-from .solver import (
-    IterationRecord,
-    SolveResult,
-    SolverConfig,
-    minimize,
-    minimize_baseline,
-    solve,
-)
+from .noise import NoiseModel, OracleError, default_eps_f
+from .problems import DESK_SUITE, ObjectiveProblem, get_problem, registry, suite_names
+from .solver import IterationRecord, SolveResult, SolverConfig, solve
 
 __all__ = [
-    "CurvaturePair",
     "DESK_SUITE",
     "IterationRecord",
-    "LbfgsMemory",
-    "LineSearchConfig",
-    "LineSearchResult",
     "NoiseModel",
-    "NoisyOracle",
     "ObjectiveProblem",
     "OracleError",
     "ProfileCurve",
-    "RegularizerState",
     "RunRecord",
     "SolveResult",
     "SolverConfig",
-    "aggregate_seeds",
-    "backtrack",
-    "compute_delta",
     "default_eps_f",
     "emit_csv",
     "emit_svg",
-    "finite_diff_gradient",
     "get_problem",
-    "minimize",
-    "minimize_baseline",
-    "modified_secant",
     "performance_profile",
-    "powell_damp",
     "read_runs_csv",
     "registry",
     "run_matrix",
-    "screen_pair",
-    "secant_rescale",
     "solve",
     "suite_names",
 ]

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .noise import NoiseModel, default_eps_f
 from .problems import get_problem
-from .solver import IterationRecord, SolveResult, SolverConfig, VARIANTS, solve
+from .solver import IterationRecord, SolveResult, SolverConfig, solve
 
 INF = math.inf
 
@@ -142,9 +142,6 @@ def run_matrix(
     for seed in seeds:
         if not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed {seed} outside [0, 2**63)")
-    for solver_name in solvers:
-        if solver_name not in VARIANTS:
-            raise ValueError(f"unknown solver {solver_name!r}")
     for name in suite:
         get_problem(name)
     if metric not in ("both", "f_only"):
@@ -209,6 +206,11 @@ def aggregate_seeds(records: Sequence[RunRecord]) -> dict[tuple[str, str], float
     return agg
 
 
+def _solvers_in_order(records: Sequence[RunRecord]) -> list[str]:
+    """Solver names in the order they first appear in ``records``."""
+    return list(dict.fromkeys(r.solver for r in records))
+
+
 def performance_ratios(
     records: Sequence[RunRecord], solvers: Optional[Sequence[str]] = None
 ) -> tuple[dict[tuple[str, str], float], list[str], list[str]]:
@@ -219,11 +221,7 @@ def performance_ratios(
     profile population.
     """
     if solvers is None:
-        seen = []
-        for r in records:
-            if r.solver not in seen:
-                seen.append(r.solver)
-        solvers = seen
+        solvers = _solvers_in_order(records)
     agg = aggregate_seeds(records)
     problems = sorted({p for p, _ in agg})
     kept, dropped = [], []
@@ -250,11 +248,7 @@ def performance_profile(
     runs have infinite ratio and never enter any curve value.
     """
     if solvers is None:
-        seen = []
-        for r in records:
-            if r.solver not in seen:
-                seen.append(r.solver)
-        solvers = seen
+        solvers = _solvers_in_order(records)
     ratios, kept, dropped = performance_ratios(records, solvers)
     if dropped:
         warnings.warn(f"{len(dropped)} problem(s) failed for every solver and were dropped")

@@ -69,7 +69,7 @@ def parse_solvers(spec: str) -> list[str]:
     names = [tok.strip() for tok in spec.split(",") if tok.strip()]
     for name in names:
         if name not in VARIANTS:
-            raise click.BadParameter(f"unknown solver {name!r}, choose from {VARIANTS}", param_hint="--solver")
+            raise click.BadParameter(f"unknown solver {name!r}, choose from {tuple(VARIANTS)}", param_hint="--solver")
     return _distinct(names, "solver", spec, "--solver")
 
 

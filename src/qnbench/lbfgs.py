@@ -98,9 +98,9 @@ def screen_pair(
     """Return the admitted pair if both curvature bounds hold, else ``None``.
 
     The admitted region is ``y's >= min_curv * ||s||^2`` and
-    ``y's >= ||y||^2 / max_curv`` with everything finite and ``s != 0``;
-    pairs inside it keep the resulting BFGS matrix uniformly bounded. The
-    returned :class:`CurvaturePair` refers to ``s`` and ``y_bar`` as given
+    ``y's >= ||y||^2 / max_curv`` with ``s != 0`` and the entries and the
+    three inner products finite; pairs inside it keep the resulting BFGS
+    matrix uniformly bounded. The returned :class:`CurvaturePair` refers to ``s`` and ``y_bar`` as given
     and carries the ``sy``, ``yy`` and ``ss`` computed here, equal to those
     of :meth:`CurvaturePair.from_vectors`.
     """
@@ -108,17 +108,15 @@ def screen_pair(
     y_bar = np.asarray(y_bar, dtype=float)
     ss = float(s.dot(s))
     yy = float(y_bar.dot(y_bar))
-    if not (math.isfinite(ss) and math.isfinite(yy)):
-        # A finite sum of squares has finite terms only, so an inf or nan
-        # entry can hide only here (next to an overflow of finite ones).
-        if not (np.isfinite(s).all() and np.isfinite(y_bar).all()):
-            return None
-    if ss == 0.0:
+    # A finite sum of squares has finite terms only, so this also refuses
+    # inf and nan entries. An overflowed product would pass both bounds
+    # (inf >= inf) and turn gamma into inf / inf.
+    if not (math.isfinite(ss) and math.isfinite(yy)) or ss == 0.0:
         return None
     sy = float(y_bar.dot(s))
     # Underflow guard: a subnormal sy passes both inequalities with zeros on
     # both sides, then 1/sy overflows inside the recursion.
-    if not (sy > 0.0 and math.isfinite(1.0 / sy)):
+    if not (math.isfinite(sy) and sy > 0.0 and math.isfinite(1.0 / sy)):
         return None
     if sy >= min_curv * ss and sy >= yy / max_curv:
         return CurvaturePair(s, y_bar, sy, yy, ss)

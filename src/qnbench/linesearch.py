@@ -120,15 +120,18 @@ def backtrack(
     cfg: LineSearchConfig,
     mu: float = 0.0,
     allow_rescale: bool = False,
-    eps_f: Optional[float] = None,
+    *,
+    eps_f: float,
 ) -> LineSearchResult:
     """Find a step along descent direction ``d`` passing the relaxed test.
 
-    Starts at ``alpha = 1`` and shrinks by clipped interpolation on each
-    rejection. If rejections exceed ``cfg.max_rejections`` the smallest trial
-    is accepted anyway with ``exhausted`` set: the relaxed test holds for
-    small enough steps, so running out indicates a broken error model rather
-    than a recoverable state.
+    ``eps_f`` is the error rate of the slack ``delta``; ``0`` gives the
+    classical Armijo test. Starts at ``alpha = 1`` and shrinks by clipped
+    interpolation on each rejection. If rejections exceed
+    ``cfg.max_rejections`` the smallest trial is accepted anyway with
+    ``exhausted`` set: the relaxed test holds for small enough steps, so
+    running out indicates a broken error model rather than a recoverable
+    state.
 
     The trial point is absorbing: ``alpha`` strictly decreases after a
     rejection, and rounding is monotone, so once ``x + alpha * d`` equals
@@ -143,8 +146,6 @@ def backtrack(
     ``g_new`` whenever it was taken at the finally accepted point, which is
     returned as ``x_new``.
     """
-    if eps_f is None:
-        eps_f = oracle.eps_f
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
     c = cfg.c

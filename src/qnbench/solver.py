@@ -1,13 +1,23 @@
 """Noise-tolerant regularized quasi-Newton solver and its line-search baseline.
 
-``minimize`` runs the regularized method: per iteration it decides the
-shift ``mu`` (zero while the objective gate holds, gradient-energy rule
-otherwise), takes the shifted two-loop direction, accepts a step under the
-error-relaxed Armijo test, and feeds the damped, screened curvature pair
-back into memory. ``minimize_baseline`` is the classical comparator: the
-same L-BFGS machinery with ``mu = 0`` everywhere and the plain Armijo test
-(zero slack), which is what it takes to represent a conventional
-line-search L-BFGS in the same cost accounting.
+``solve`` runs every variant the benchmark compares. The variants share all
+of the machinery and differ in two decisions, which the table ``VARIANTS``
+maps from the variant name:
+
+- *regularized* (``ours*``): per iteration the shift ``mu`` is zero while
+  the objective gate holds and follows the gradient-energy rule otherwise,
+  a step is accepted under the error-relaxed Armijo test, and a first trial
+  taken at ``mu > 0`` may be rescaled once. Off (``baseline_line*``), the
+  loop is the classical comparator: ``mu = 0`` everywhere and the plain
+  Armijo test (zero slack), which is what it takes to represent a
+  conventional line-search L-BFGS in the same cost accounting;
+- *modified secant* (``*_ms``): the gradient difference is corrected by
+  function values before it is damped and screened.
+
+Either way the direction is the shifted two-loop one, and the damped,
+screened curvature pair is fed back into memory. The line-search and
+regularizer constants are those of ``LineSearchConfig()`` and
+``RegularizerState()``, which own and validate them.
 
 Oracle calls are the benchmark currency, so the loop is frugal with them:
 the accepted trial value from iteration k is reused as ``f_bar(x_{k+1})``
@@ -32,7 +42,13 @@ from .regularizer import RegularizerState
 
 Array = np.ndarray
 
-VARIANTS = ("ours", "ours_ms", "baseline_line", "baseline_line_ms")
+# Variant name -> (regularized, modified secant).
+VARIANTS = {
+    "ours": (True, False),
+    "ours_ms": (True, True),
+    "baseline_line": (False, False),
+    "baseline_line_ms": (False, True),
+}
 
 
 @dataclass(frozen=True)
@@ -40,13 +56,6 @@ class SolverConfig:
     memory_size: int = 10
     k_max: int = 15000
     eps_gtol: float = 1e-5
-    c: float = 1e-4
-    beta_min: float = 1.0 / 16.0
-    beta_max: float = 15.0 / 16.0
-    max_rejections: int = 100
-    varsigma: float = 1e-10
-    theta_min: float = 1e-2
-    theta_max: float = 1.0
     eps_f: float = 0.0
     variant: str = "ours"
     time_budget: float = 600.0
@@ -56,7 +65,7 @@ class SolverConfig:
         if self.k_max < 1:
             raise ValueError("k_max must be positive")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
 
 
 @dataclass
@@ -94,10 +103,17 @@ class SolveResult:
         return len(self.trace)
 
 
-def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, regularized: bool) -> SolveResult:
-    use_ms = cfg.variant.endswith("_ms")
-    oracle = NoisyOracle(problem, model, eps_f=cfg.eps_f)
-    ls_cfg = LineSearchConfig(cfg.c, cfg.beta_min, cfg.beta_max, cfg.max_rejections)
+def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig) -> SolveResult:
+    """Run ``cfg.variant`` on ``problem`` under ``noise_model`` from ``problem.x0``.
+
+    Stops when the gradient's infinity norm reaches ``cfg.eps_gtol``
+    (``converged``), after ``cfg.k_max`` iterations (``max_iters``), past
+    ``cfg.time_budget`` seconds (``timeout``), or when the oracle refuses a
+    point (``oracle_error``, with the partial trace).
+    """
+    regularized, use_ms = VARIANTS[cfg.variant]
+    oracle = NoisyOracle(problem, noise_model, eps_f=cfg.eps_f)
+    ls_cfg = LineSearchConfig()
     # The baseline runs the classical Armijo test: no error slack at all.
     ls_eps_f = cfg.eps_f if regularized else 0.0
 
@@ -111,7 +127,7 @@ def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, r
         g = oracle.grad_bar(x)
         f_bar = oracle.f_bar(x)
         memory = LbfgsMemory(cfg.memory_size)
-        reg = RegularizerState(cfg.varsigma, cfg.theta_min, cfg.theta_max) if regularized else None
+        reg = RegularizerState() if regularized else None
 
         for k in range(cfg.k_max):
             g_inf = float(np.abs(g).max())
@@ -197,24 +213,3 @@ def _run_loop(problem: ObjectiveProblem, model: NoiseModel, cfg: SolverConfig, r
         final_g_inf=float(np.abs(g).max()),
         discarded_grad_probes=discarded,
     )
-
-
-def minimize(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig) -> SolveResult:
-    """Run the regularized, noise-tolerant method (variants ``ours*``)."""
-    if not cfg.variant.startswith("ours"):
-        raise ValueError(f"minimize handles the 'ours' variants, got {cfg.variant!r}")
-    return _run_loop(problem, noise_model, cfg, regularized=True)
-
-
-def minimize_baseline(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig) -> SolveResult:
-    """Run the classical line-search L-BFGS comparator (``baseline_line*``)."""
-    if not cfg.variant.startswith("baseline"):
-        raise ValueError(f"minimize_baseline handles the baseline variants, got {cfg.variant!r}")
-    return _run_loop(problem, noise_model, cfg, regularized=False)
-
-
-def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig) -> SolveResult:
-    """Dispatch on ``cfg.variant``."""
-    if cfg.variant.startswith("ours"):
-        return minimize(problem, noise_model, cfg)
-    return minimize_baseline(problem, noise_model, cfg)

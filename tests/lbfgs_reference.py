@@ -18,7 +18,8 @@ import numpy as np
 
 def screen_reference(s, y_bar, min_curv: float = 1e-10, max_curv: float = 1e10) -> bool:
     """The curvature screen as a yes/no test, with ``np.isfinite`` as its
-    underflow guard; ``screen_pair`` must admit exactly these pairs."""
+    entry, overflow and underflow guard; ``screen_pair`` must admit exactly
+    these pairs."""
     s = np.asarray(s, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
     if not (np.isfinite(s).all() and np.isfinite(y_bar).all()):
@@ -28,6 +29,8 @@ def screen_reference(s, y_bar, min_curv: float = 1e-10, max_curv: float = 1e10) 
         return False
     sy = float(y_bar @ s)
     yy = float(y_bar @ y_bar)
+    if not (np.isfinite(ss) and np.isfinite(sy) and np.isfinite(yy)):
+        return False
     if not (sy > 0.0 and np.isfinite(1.0 / sy)):
         return False
     return sy >= min_curv * ss and sy >= yy / max_curv

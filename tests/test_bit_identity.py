@@ -2,10 +2,10 @@
 
 A pure speed-up must leave every ``runs.csv`` column except ``wall_ms``
 bit-identical. This test pins those columns for a matrix that exercises
-both solvers, both gradient-noise modes, the exhausted line-search branch
-of the baseline, regularized (``mu > 0``) and unshifted directions, and
-oracles that consume more than 4096 noise draws. Floats are compared by
-their exact ``float.hex()`` form.
+all four solver variants, both gradient-noise modes, the exhausted
+line-search branch of the baseline, regularized (``mu > 0``) and unshifted
+directions, and oracles that consume more than 4096 noise draws. Floats
+are compared by their exact ``float.hex()`` form.
 
 The pinned values live in ``golden_noisy_runs.json``. A change that
 deliberately alters the arithmetic regenerates them with::
@@ -31,7 +31,7 @@ def snapshot() -> list[list]:
     for grad_mode in ("percomp", "rank1"):
         records = run_matrix(
             PROBLEMS,
-            ["ours", "baseline_line"],
+            ["ours", "ours_ms", "baseline_line", "baseline_line_ms"],
             NoiseModel(kind="additive_uniform", level=1e-3, grad_mode=grad_mode),
             1e-2,
             [0, 1],

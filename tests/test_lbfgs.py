@@ -160,6 +160,19 @@ class TestScreenPair:
         with np.errstate(over="ignore"):
             assert (screen_pair(s, y) is not None) == screen_reference(s, y)
 
+    def test_overflowing_pair_is_refused_and_direction_stays_finite(self):
+        # s'y = ||y||^2 = ||s||^2 = inf would pass both bounds (inf >= inf);
+        # as the oldest pair in memory it would make gamma inf / inf.
+        mem = LbfgsMemory(3)
+        s = np.array([1e200, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = screen_pair(s, s.copy())
+            if pair is not None:  # the solver pushes only admitted pairs
+                mem.push(pair)
+            d = mem.direction(np.array([1.0, -1.0]))
+        assert pair is None
+        assert np.isfinite(d).all()
+
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),

@@ -7,7 +7,7 @@ import qnbench.solver as solver_mod
 from qnbench.bench import derive_oracle_seed
 from qnbench.noise import NoiseModel
 from qnbench.problems import ObjectiveProblem, get_problem
-from qnbench.solver import SolverConfig, minimize, minimize_baseline, solve
+from qnbench.solver import SolverConfig, solve
 
 
 def exact(**kw):
@@ -49,7 +49,7 @@ def test_wrapper_over_objective_sees_every_counted_call(monkeypatch):
 
 
 def test_sphere_exact_converges_immediately():
-    res = minimize(get_problem("sphere_n10"), NoiseModel(), exact(eps_gtol=1e-8, variant="ours"))
+    res = solve(get_problem("sphere_n10"), NoiseModel(), exact(eps_gtol=1e-8, variant="ours"))
     assert res.status == "converged"
     assert res.iterations <= 5
     assert res.final_f_bar <= 1e-15
@@ -58,7 +58,7 @@ def test_sphere_exact_converges_immediately():
 
 def test_stationary_start_stops_without_line_search():
     p = ObjectiveProblem("flat_n2", 2, lambda x: 0.5 * float(x @ x), lambda x: np.array(x), np.zeros(2))
-    res = minimize(p, NoiseModel(), exact(eps_gtol=1e-8, variant="ours"))
+    res = solve(p, NoiseModel(), exact(eps_gtol=1e-8, variant="ours"))
     assert res.status == "converged"
     assert res.iterations == 0
     assert res.f_calls == 1
@@ -67,7 +67,7 @@ def test_stationary_start_stops_without_line_search():
 
 def test_no_gtol_stop_runs_exactly_k_max_iterations():
     cfg = exact(eps_gtol=0.0, k_max=10, variant="ours")
-    res = minimize(get_problem("illcond_quadratic_n100"), NoiseModel(), cfg)
+    res = solve(get_problem("illcond_quadratic_n100"), NoiseModel(), cfg)
     assert res.status == "max_iters"
     assert res.iterations == 10
     assert [t.k for t in res.trace] == list(range(10))
@@ -75,8 +75,8 @@ def test_no_gtol_stop_runs_exactly_k_max_iterations():
 
 def test_baseline_matches_ours_on_easy_convex_problem():
     p = get_problem("sphere_n100")
-    r1 = minimize(p, NoiseModel(), exact(eps_gtol=1e-8, variant="ours"))
-    r2 = minimize_baseline(p, NoiseModel(), exact(eps_gtol=1e-8, variant="baseline_line"))
+    r1 = solve(p, NoiseModel(), exact(eps_gtol=1e-8, variant="ours"))
+    r2 = solve(p, NoiseModel(), exact(eps_gtol=1e-8, variant="baseline_line"))
     assert r1.status == r2.status == "converged"
     assert abs(r1.iterations - r2.iterations) <= 2
     # with eps_f = 0 both run the identical acceptance test; on an all-K0
@@ -88,7 +88,7 @@ def test_baseline_matches_ours_on_easy_convex_problem():
 def test_noisy_rosenbrock_ours_converges():
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=0)
     cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=1000, variant="ours")
-    res = minimize(get_problem("rosenbrock_n2"), model, cfg)
+    res = solve(get_problem("rosenbrock_n2"), model, cfg)
     assert res.status == "converged"
     assert res.final_g_inf <= 1e-2
 
@@ -100,8 +100,8 @@ def test_noisy_contrast_over_seeds():
     ours_ok = base_ok = 0
     for seed in range(8):
         model = NoiseModel(kind="additive_uniform", level=1e-3, seed=seed)
-        ours = minimize(p, model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=800, variant="ours"))
-        base = minimize_baseline(p, model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=800, variant="baseline_line"))
+        ours = solve(p, model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=800, variant="ours"))
+        base = solve(p, model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=800, variant="baseline_line"))
         ours_ok += ours.status == "converged"
         base_ok += base.status == "converged"
     assert ours_ok > 4
@@ -112,7 +112,7 @@ def test_noisy_contrast_over_seeds():
 def test_trace_invariants_on_noisy_run():
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=3)
     cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=500, variant="ours")
-    res = minimize(get_problem("chained_rosenbrock_n10"), model, cfg)
+    res = solve(get_problem("chained_rosenbrock_n10"), model, cfg)
     trace = res.trace
     assert trace
     for rec in trace:
@@ -147,21 +147,21 @@ def test_oracle_call_accounting(variant, problem, noisy):
 def test_fresh_fk_costs_one_extra_call_per_iteration():
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=9)
     base = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="ours")
-    res = minimize(get_problem("beale_n2"), model, base)
+    res = solve(get_problem("beale_n2"), model, base)
     fresh_cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="ours", fresh_fk=True)
-    res_fresh = minimize(get_problem("beale_n2"), model, fresh_cfg)
+    res_fresh = solve(get_problem("beale_n2"), model, fresh_cfg)
     expected_f = 1 + sum(1 + t.rejections for t in res_fresh.trace) + max(res_fresh.iterations - 1, 0)
     assert res_fresh.f_calls == expected_f
     assert res.status == "converged"
 
 
 def test_ms_variant_runs_and_converges_exact():
-    res = minimize(get_problem("rosenbrock_n2"), NoiseModel(), exact(eps_gtol=1e-5, eps_f=2.22e-9, variant="ours_ms", k_max=2000))
+    res = solve(get_problem("rosenbrock_n2"), NoiseModel(), exact(eps_gtol=1e-5, eps_f=2.22e-9, variant="ours_ms", k_max=2000))
     assert res.status == "converged"
 
 
 def test_baseline_ms_variant():
-    res = minimize_baseline(
+    res = solve(
         get_problem("beale_n2"), NoiseModel(), exact(eps_gtol=1e-5, eps_f=2.22e-9, variant="baseline_line_ms", k_max=2000)
     )
     assert res.status == "converged"
@@ -178,20 +178,20 @@ def test_oracle_error_returns_partial_result():
         np.zeros(1),
     )
     model = NoiseModel(kind="precision_cast", bits=16)
-    res = minimize(p, model, SolverConfig(eps_gtol=1e-8, eps_f=9.77e-2, variant="ours", k_max=50))
+    res = solve(p, model, SolverConfig(eps_gtol=1e-8, eps_f=9.77e-2, variant="ours", k_max=50))
     assert res.status == "oracle_error"
 
 
 def test_timeout_status():
     cfg = SolverConfig(eps_gtol=0.0, k_max=10**6, time_budget=0.0, variant="ours")
-    res = minimize(get_problem("illcond_quadratic_n100"), NoiseModel(), cfg)
+    res = solve(get_problem("illcond_quadratic_n100"), NoiseModel(), cfg)
     assert res.status == "timeout"
 
 
 def test_descent_direction_every_iteration():
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=1)
     cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=1000, variant="ours")
-    res = minimize(get_problem("ext_rosenbrock_n10"), model, cfg)
+    res = solve(get_problem("ext_rosenbrock_n10"), model, cfg)
     assert res.status == "converged"
     for rec in res.trace:
         assert rec.g_two > 0.0
@@ -199,10 +199,6 @@ def test_descent_direction_every_iteration():
 
 def test_variant_dispatch_and_validation():
     p = get_problem("sphere_n2")
-    with pytest.raises(ValueError):
-        minimize(p, NoiseModel(), exact(variant="baseline_line"))
-    with pytest.raises(ValueError):
-        minimize_baseline(p, NoiseModel(), exact(variant="ours"))
     with pytest.raises(ValueError):
         SolverConfig(variant="nonsense")
     with pytest.raises(ValueError):
