@@ -247,6 +247,14 @@ def performance_profile(
     Curves are sampled at tau = 1 and at every distinct finite ratio; failed
     runs have infinite ratio and never enter any curve value.
     """
+    return _profile(records, solvers)[0]
+
+
+def _profile(
+    records: Sequence[RunRecord], solvers: Optional[Sequence[str]] = None
+) -> tuple[list[ProfileCurve], list[str], list[str]]:
+    """:func:`performance_profile` with the counted and dropped problems of
+    the one seed aggregation it runs."""
     if solvers is None:
         solvers = _solvers_in_order(records)
     ratios, kept, dropped = performance_ratios(records, solvers)
@@ -261,7 +269,7 @@ def performance_profile(
             rho = sum(1 for v in mine if v <= tau) / len(kept) if kept else 0.0
             pts.append((tau, rho))
         curves.append(ProfileCurve(solver=s, points=pts))
-    return curves
+    return curves, kept, dropped
 
 
 def _fmt(value) -> str:

@@ -12,15 +12,7 @@ import math
 
 import click
 
-from .bench import (
-    SEED_LIMIT,
-    emit_csv,
-    emit_svg,
-    performance_profile,
-    performance_ratios,
-    read_runs_csv,
-    run_matrix,
-)
+from .bench import SEED_LIMIT, _profile, emit_csv, emit_svg, read_runs_csv, run_matrix
 from .noise import NoiseModel
 from .problems import suite_names
 from .solver import VARIANTS, SolverConfig
@@ -131,7 +123,10 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
     model = parse_noise(noise, noise_grad_mode)
     eps_f = parse_eps_f(eps_f)
     seed_list = parse_seeds(seeds)
-    cfg = SolverConfig(k_max=kmax, time_budget=time_budget, fresh_fk=fresh_fk)
+    try:
+        cfg = SolverConfig(k_max=kmax, eps_gtol=gtol, time_budget=time_budget, fresh_fk=fresh_fk)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     records = run_matrix(
         problem_names,
         solver_list,
@@ -162,9 +157,8 @@ def profile_command(in_path, out_path, svg_path):
     records = read_runs_csv(in_path)
     if not records:
         raise click.BadParameter(f"{in_path} holds no run records", param_hint="--in")
-    curves = performance_profile(records)
+    curves, kept, dropped = _profile(records)
     emit_csv(curves, out_path)
-    _, kept, dropped = performance_ratios(records)
     click.echo(f"profiled {len(kept)} problems ({len(dropped)} dropped: failed for every solver)")
     for c in curves:
         share = c.rho_at(math.inf)

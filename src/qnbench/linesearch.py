@@ -67,32 +67,6 @@ def _check_eps_f(eps_f: float) -> None:
         raise ValueError("eps_f must lie in [0, 1)")
 
 
-def _delta(eps_f: float, f_bar_x: float, f_bar_trial: float) -> float:
-    return (2.0 * eps_f / (1.0 - eps_f)) * max(1.0, f_bar_x, -f_bar_trial)
-
-
-def compute_delta(eps_f: float, f_bar_x: float, f_bar_trial: float) -> float:
-    """Error-absorbing slack for one acceptance test."""
-    _check_eps_f(eps_f)
-    return _delta(eps_f, f_bar_x, f_bar_trial)
-
-
-def _interpolate(alpha: float, f0: float, gtd: float, f_trial: float, cfg: LineSearchConfig) -> float:
-    """Minimizer of the quadratic fit through (f0, gtd, f_trial), clipped.
-
-    Degenerate or negative-curvature fits fall back to alpha/2, which always
-    lies inside the clip interval.
-    """
-    denom = 2.0 * (f_trial - f0 - gtd * alpha)
-    if denom > 0.0:
-        cand = -gtd * alpha * alpha / denom
-    else:
-        cand = 0.5 * alpha
-    if not math.isfinite(cand):
-        cand = 0.5 * alpha
-    return min(max(cand, cfg.beta_min * alpha), cfg.beta_max * alpha)
-
-
 def secant_rescale(alpha: float, d: Array, g: Array, g_try: Array, cfg: LineSearchConfig) -> float:
     """One-time step rescale from the directional-derivative sign change.
 
@@ -148,7 +122,12 @@ def backtrack(
     """
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
-    c = cfg.c
+    isfinite = math.isfinite
+    c, beta_min, beta_max, max_rejections = cfg.c, cfg.beta_min, cfg.beta_max, cfg.max_rejections
+    # delta = slack * max(1, f_bar_x, -f_trial), in the order of the
+    # three-argument max.
+    slack = 2.0 * eps_f / (1.0 - eps_f)
+    scale_floor = max(1.0, f_bar_x)
     gtd = float(g.dot(d))
     alpha = 1.0
     trial = x + alpha * d
@@ -158,13 +137,29 @@ def backtrack(
     while True:
         f_trial = f_bar(trial)
         probes += 1
-        delta = _delta(eps_f, f_bar_x, f_trial)
+        delta = slack * max(scale_floor, -f_trial)
         if f_bar_x + c * alpha * gtd + delta >= f_trial:
             break
-        if probes - 1 >= cfg.max_rejections:
+        if probes - 1 >= max_rejections:
             exhausted = True
             break
-        alpha = _interpolate(alpha, f_bar_x, gtd, f_trial, cfg)
+        # Quadratic interpolation through (f_bar_x, gtd, f_trial), clipped to
+        # [beta_min * alpha, beta_max * alpha]; degenerate or
+        # negative-curvature fits fall back to alpha / 2.
+        denom = 2.0 * (f_trial - f_bar_x - gtd * alpha)
+        if denom > 0.0:
+            cand = -gtd * alpha * alpha / denom
+            if not isfinite(cand):
+                cand = 0.5 * alpha
+        else:
+            cand = 0.5 * alpha
+        lo = beta_min * alpha
+        hi = beta_max * alpha
+        if lo > cand:
+            cand = lo
+        if hi < cand:
+            cand = hi
+        alpha = cand
         if trial is not x:
             trial = x + alpha * d
             if x_bytes is None:
@@ -186,7 +181,7 @@ def backtrack(
             trial2 = x + alpha2 * d
             f_trial2 = f_bar(trial2)
             probes += 1
-            delta2 = _delta(eps_f, f_bar_x, f_trial2)
+            delta2 = slack * max(scale_floor, -f_trial2)
             if f_bar_x + c * alpha2 * gtd + delta2 >= f_trial2:
                 alpha, f_trial, delta, trial = alpha2, f_trial2, delta2, trial2
                 rescaled = True

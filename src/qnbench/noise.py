@@ -45,6 +45,8 @@ UNIFORM_EPS_F = 1e-2
 # Generator call costs microseconds of dispatch; a block amortises it.
 DRAW_BLOCK = 4096
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -143,13 +145,21 @@ class NoisyOracle:
 
     def f_bar(self, x: Array) -> float:
         """Noisy objective value; increments ``f_calls``."""
-        x = np.asarray(x, dtype=float)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=float)
         self.f_calls += 1
         kind = self.model.kind
         if kind == "exact":
             val = self.problem.f(x)
         elif kind == "additive_uniform":
-            val = self.problem.f(x) + self._uniform(1)[0]
+            val = self.problem.f(x)
+            # One value of the noise stream, drawn after the evaluation.
+            used = self._used
+            if used < self._block.size:
+                self._used = used + 1
+                val = val + self._block[used]
+            else:
+                val = val + self._uniform(1)[0]
         else:
             val = self.problem.f(self._cast_input(x))
         if not math.isfinite(val):

@@ -17,19 +17,28 @@ maps from the variant name:
 Either way the direction is the shifted two-loop one, and the damped,
 screened curvature pair is fed back into memory. The line-search and
 regularizer constants are those of ``LineSearchConfig()`` and
-``RegularizerState()``, which own and validate them.
+``RegularizerState()``, which own and validate them; ``SolverConfig`` holds
+and validates the per-run settings.
 
 Oracle calls are the benchmark currency, so the loop is frugal with them:
 the accepted trial value from iteration k is reused as ``f_bar(x_{k+1})``
 (``fresh_fk`` forces a re-evaluation instead), and the gradient probe spent
 by a step rescale is reused as the next gradient whenever it was taken at
 the finally accepted point.
+
+Each iteration leaves one row in the run's :class:`Trace`: nine scalars
+appended to typed columns, not a record object. Records are built only when
+the trace is read, so a long run costs 72 bytes per iteration (plus array
+headroom) and a trace crosses a process boundary as nine flat buffers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +71,17 @@ class SolverConfig:
     fresh_fk: bool = False
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be positive")
+        # Negated comparisons, so that NaN fails every float check.
+        if not isinstance(self.memory_size, int) or self.memory_size < 1:
+            raise ValueError(f"memory_size must be a positive int, got {self.memory_size!r}")
+        if not isinstance(self.k_max, int) or self.k_max < 1:
+            raise ValueError(f"k_max must be a positive int, got {self.k_max!r}")
+        if not self.eps_gtol >= 0.0:
+            raise ValueError(f"eps_gtol must be >= 0, got {self.eps_gtol!r}")
+        if not 0.0 <= self.eps_f < 1.0:
+            raise ValueError(f"eps_f must lie in [0, 1), got {self.eps_f!r}")
+        if not self.time_budget > 0.0:
+            raise ValueError(f"time_budget must be > 0, got {self.time_budget!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
 
@@ -83,11 +101,69 @@ class IterationRecord:
     g_calls: int
 
 
+class Trace(Sequence):
+    """The iterations of one run, stored column-wise.
+
+    A read-only sequence of :class:`IterationRecord`: each record is built
+    when it is read. Six float columns (``array('d')``) and three integer
+    columns (``array('q')``) hold one entry per iteration, 72 bytes in all;
+    ``k`` is the position and ``set_label`` follows from ``mu``, so neither
+    is stored. A trace equals any sequence of equal records, in order.
+    """
+
+    __slots__ = ("f_bar", "g_inf", "g_two", "mu", "alpha", "delta", "rejections", "f_calls", "g_calls")
+
+    def __init__(self):
+        self.f_bar, self.g_inf, self.g_two, self.mu, self.alpha, self.delta = (array("d") for _ in range(6))
+        self.rejections, self.f_calls, self.g_calls = (array("q") for _ in range(3))
+
+    def _append(self, f_bar, g_inf, g_two, mu, alpha, delta, rejections, f_calls, g_calls) -> None:
+        self.f_bar.append(f_bar)
+        self.g_inf.append(g_inf)
+        self.g_two.append(g_two)
+        self.mu.append(mu)
+        self.alpha.append(alpha)
+        self.delta.append(delta)
+        self.rejections.append(rejections)
+        self.f_calls.append(f_calls)
+        self.g_calls.append(g_calls)
+
+    def _record(self, k: int) -> IterationRecord:
+        mu = self.mu[k]
+        return IterationRecord(
+            k, self.f_bar[k], self.g_inf[k], self.g_two[k], mu, self.alpha[k], self.delta[k],
+            "K0" if mu == 0.0 else "Kplus", self.rejections[k], self.f_calls[k], self.g_calls[k],
+        )
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(k) for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        n = len(self)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("trace index out of range")
+        return self._record(k)
+
+    def __iter__(self):
+        for k in range(len(self)):
+            yield self._record(k)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class SolveResult:
     status: str  # converged | max_iters | timeout | oracle_error
     x_final: Array
-    trace: list[IterationRecord] = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
     f_calls: int = 0
     g_calls: int = 0
     final_f_bar: float = np.nan
@@ -118,7 +194,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     ls_eps_f = cfg.eps_f if regularized else 0.0
 
     x = np.array(problem.x0, dtype=float)
-    trace: list[IterationRecord] = []
+    trace = Trace()
     discarded = 0
     status = "max_iters"
     t_start = time.perf_counter()
@@ -178,20 +254,9 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 if pair is not None:
                     memory.push(pair)
 
-            trace.append(
-                IterationRecord(
-                    k=k,
-                    f_bar=f_bar,
-                    g_inf=g_inf,
-                    g_two=math.sqrt(float(g.dot(g))),
-                    mu=mu,
-                    alpha=res.alpha,
-                    delta=res.delta,
-                    set_label="K0" if mu == 0.0 else "Kplus",
-                    rejections=res.rejections,
-                    f_calls=oracle.f_calls,
-                    g_calls=oracle.g_calls,
-                )
+            trace._append(
+                f_bar, g_inf, math.sqrt(float(g.dot(g))), mu, res.alpha, res.delta,
+                res.rejections, oracle.f_calls, oracle.g_calls,
             )
             x, g, f_bar = x_new, g_new, res.f_bar_new
         else:

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from lbfgs_reference import bfgs_spectral_bounds, materialize
+from linesearch_reference import compute_delta
 from qnbench.bench import aggregate_seeds, performance_profile, run_matrix
 from qnbench.lbfgs import CurvaturePair, LbfgsMemory, screen_pair
-from qnbench.linesearch import LineSearchConfig, compute_delta
+from qnbench.linesearch import LineSearchConfig
 from qnbench.noise import CAST_EPS_F, UNIFORM_EPS_F, NoiseModel, default_eps_f
 from qnbench.problems import DESK_SUITE, get_problem
 from qnbench.regularizer import RESTART_DROP, RegularizerState

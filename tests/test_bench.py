@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 
 import click
@@ -372,3 +373,102 @@ class TestCli:
         # objective call on top of its line-search trials
         assert r_fresh.iters >= 2
         assert r_fresh.f_calls >= 2 * r_fresh.iters
+
+
+class TestBadSolverSettings:
+    """A bad per-run setting fails before any run: at the config, in
+    ``run_matrix`` and as a ``qnbench run`` usage error."""
+
+    @pytest.mark.parametrize(
+        "eps_gtol, eps_f",
+        [(-1.0, "auto"), (float("nan"), "auto"), (1e-2, -0.1), (1e-2, 1.0), (1e-2, float("nan"))],
+    )
+    def test_run_matrix_refuses_before_any_run(self, monkeypatch, eps_gtol, eps_f):
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench_mod, "_execute", no_run)
+        with pytest.raises(ValueError, match="eps_gtol" if eps_f == "auto" else "eps_f"):
+            run_matrix(["sphere_n10"], ["ours"], NoiseModel(), eps_gtol, [0], eps_f=eps_f)
+
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [
+            ("--gtol", "-1", "eps_gtol"),
+            ("--gtol", "nan", "eps_gtol"),
+            ("--time-budget", "0", "time_budget"),
+            ("--time-budget", "-1", "time_budget"),
+            ("--time-budget", "nan", "time_budget"),
+            ("--eps-f", "-0.1", "--eps-f"),
+            ("--eps-f", "nan", "--eps-f"),
+        ],
+    )
+    def test_cli_usage_error(self, monkeypatch, tmp_path, option, value, field):
+        monkeypatch.setattr(bench_mod, "_execute", None)
+        out = tmp_path / "r.csv"
+        args = ["run", "--suite", "sphere_n10", "--kmax", "5", "--out", str(out), option, value]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+        assert not out.exists()
+
+
+PROFILE_RUNS = """\
+problem,solver,seed,status,oracle_calls,f_calls,g_calls,iters,final_f_bar,final_g_inf,wall_ms
+beale_n2,baseline_line,0,converged,120.0,100,20,19,0.001,0.009,1.5
+beale_n2,baseline_line,1,converged,150.0,125,25,24,0.002,0.008,1.5
+beale_n2,ours,0,converged,60.0,40,20,19,0.001,0.007,1.5
+beale_n2,ours,1,max_iters,inf,900,100,100,0.5,0.3,9.0
+beale_n2,ours,2,converged,75.0,50,25,24,0.001,0.006,1.5
+rosenbrock_n2,baseline_line,0,max_iters,inf,1000,101,100,1.0,2.0,9.0
+rosenbrock_n2,baseline_line,1,max_iters,inf,1000,101,100,1.0,2.0,9.0
+rosenbrock_n2,ours,0,converged,300.0,200,100,99,0.0001,0.005,4.0
+rosenbrock_n2,ours,1,converged,250.0,170,80,79,0.0001,0.005,4.0
+sphere_n10,baseline_line,0,converged,12.0,8,4,3,0.0,0.0,0.1
+sphere_n10,baseline_line,1,converged,12.0,8,4,3,0.0,0.0,0.1
+sphere_n10,ours,0,converged,10.0,6,4,3,0.0,0.0,0.1
+sphere_n10,ours,1,converged,11.0,7,4,3,0.0,0.0,0.1
+wood_n4,baseline_line,0,timeout,inf,10,5,4,1.0,1.0,600000.0
+wood_n4,baseline_line,1,oracle_error,inf,10,5,4,nan,nan,1.0
+wood_n4,ours,0,max_iters,inf,10,5,4,1.0,1.0,5.0
+wood_n4,ours,1,max_iters,inf,10,5,4,1.0,1.0,5.0
+"""
+
+
+class TestProfileCommand:
+    def test_outputs_are_pinned_and_seeds_aggregate_once(self, monkeypatch, tmp_path):
+        # The expected bytes are what the command wrote when it aggregated
+        # the seeds twice; aggregating them once must not change a byte.
+        runs = tmp_path / "runs.csv"
+        runs.write_text(PROFILE_RUNS)
+        aggregations = []
+        aggregate = bench_mod.aggregate_seeds
+
+        def counted(records):
+            aggregations.append(len(records))
+            return aggregate(records)
+
+        monkeypatch.setattr(bench_mod, "aggregate_seeds", counted)
+        prof, svg = tmp_path / "profile.csv", tmp_path / "profile.svg"
+        with pytest.warns(UserWarning, match="1 problem"):
+            result = CliRunner().invoke(main, ["profile", "--in", str(runs), "--out", str(prof), "--svg", str(svg)])
+        assert result.exit_code == 0, result.output
+        assert aggregations == [17]
+        assert result.stdout == (
+            "profiled 3 problems (1 dropped: failed for every solver)\n"
+            "baseline_line: solves 67% of counted problems\n"
+            "ours: solves 100% of counted problems\n"
+            f"wrote {svg}\n"
+        )
+        assert prof.read_text() == (
+            "solver,tau,rho\n"
+            "baseline_line,1.0,0.0\n"
+            "baseline_line,1.1428571428571428,0.3333333333333333\n"
+            "baseline_line,2.0,0.6666666666666666\n"
+            "ours,1.0,1.0\n"
+            "ours,1.1428571428571428,1.0\n"
+            "ours,2.0,1.0\n"
+        )
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "bd3a6165f086f627233f6282a167376016a4ef897c3ead9094f88c5ae5a39b12"
+        )

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnbench.linesearch import LineSearchConfig, _interpolate, backtrack, compute_delta, secant_rescale
+import linesearch_reference as reference
+from linesearch_reference import _interpolate, compute_delta
+from qnbench.linesearch import LineSearchConfig, backtrack, secant_rescale
 from qnbench.noise import NoiseModel, NoisyOracle
 from qnbench.problems import ObjectiveProblem, get_problem
 
@@ -291,3 +293,133 @@ class TestRescaleFlow:
         res = backtrack(o, np.array([1.0]), -g, g, 0.5, CFG, mu=0.0, allow_rescale=True, eps_f=0.0)
         assert not res.took_grad_probe
         assert o.g_calls == 0
+
+
+class ScriptedOracle:
+    """Duck-typed oracle: scripted objective values, one fixed gradient, and
+    a log of every call with the exact bytes of its point."""
+
+    def __init__(self, values, grad):
+        self._values = list(values)
+        self._grad = np.array(grad, dtype=float)
+        self.calls = []
+
+    def f_bar(self, x):
+        self.calls.append(("f", x.tobytes()))
+        return self._values.pop(0) if len(self._values) > 1 else self._values[0]
+
+    def grad_bar(self, x):
+        self.calls.append(("g", x.tobytes()))
+        return self._grad.copy()
+
+
+def _fields(res, x):
+    g_new = None if res.g_new is None else res.g_new.tobytes()
+    return (
+        res.alpha.hex(), res.delta.hex(), res.f_bar_new.hex(), res.x_new.tobytes(), res.x_new is x,
+        res.rejections, res.rescaled, res.exhausted, g_new, res.took_grad_probe,
+    )
+
+
+MAGNITUDES = st.floats(0.0, 1e3)
+FREE_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+@st.composite
+def search_case(draw, branch):
+    """(x, d, g, f_bar_x, values, grad, cfg, mu, allow_rescale) that end a
+    search through ``branch``; ``free`` draws everything at random."""
+    eps_f = draw(st.sampled_from([0.0, 1e-2]))
+    mu = draw(st.sampled_from([0.0, 0.5]) | st.floats(1e-8, 1e3))
+    allow = draw(st.booleans())
+    cfg = CFG
+    f0 = draw(st.floats(-100.0, 100.0))
+    x = np.array([draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))])
+    g = np.array([draw(st.floats(0.01, 10.0)), draw(st.floats(-10.0, 10.0))])
+    d = -g * draw(st.floats(0.01, 10.0))
+    grad = [0.0, 0.0]
+    # Objective values the test refuses or accepts whatever the slack: here
+    # g'd >= -2e3, so c * alpha * g'd >= -0.2, and delta <= 2.02.
+    reject = st.builds(lambda u: abs(f0) * 1.1 + 10.0 + u, MAGNITUDES)
+    accept = st.builds(lambda u: f0 - 1.0 - u, MAGNITUDES)
+    if branch == "first accept":
+        values = [draw(accept)]
+    elif branch == "backtrack":
+        values = draw(st.lists(reject, min_size=1, max_size=6)) + [draw(accept)]
+    elif branch in ("absorbed", "absorbed exhaust"):
+        # The step is visible at first and rounds back to x after a few shrinks.
+        x = np.array([draw(st.floats(1.0, 4.0)), -3.0])
+        d = np.array([-draw(st.floats(1e-15, 1e-13)), 0.0])
+        g = -d
+        values = draw(st.lists(reject, min_size=30, max_size=60))
+        if branch == "absorbed":
+            values.append(draw(accept))
+        else:
+            values.append(values[-1])
+    elif branch == "exhausted":
+        cfg = LineSearchConfig(max_rejections=draw(st.integers(1, 12)))
+        values = draw(st.lists(reject, min_size=1, max_size=4))
+    elif branch in ("rescale accepted", "rescale refused"):
+        # d'g_try = 3 ||d|| > 0.5 ||d|| ||g_try||, and d'g < 0: the secant
+        # factor 2 / (2 + 3) applies.
+        mu, allow = draw(st.floats(1e-8, 1e3)), True
+        x, g, d = np.array([1.0]), np.array([1.0]), np.array([-2.0])
+        grad = [-1.5]
+        second = accept if branch == "rescale accepted" else reject
+        values = [draw(accept), draw(second)]
+    elif branch == "boundary":
+        # The second value is the acceptance threshold itself, as the
+        # reference rounds it at the interpolated step: it must be accepted,
+        # which only the same float operations in the same order guarantee.
+        f0 = 0.0
+        first = draw(reject)
+        gtd = float(g.dot(d))
+        alpha = reference._interpolate(1.0, f0, gtd, first, cfg)
+        # |threshold| < 1, so the slack is 2 eps_f / (1 - eps_f) exactly.
+        values = [first, f0 + cfg.c * alpha * gtd + reference.compute_delta(eps_f, f0, 0.0)]
+    elif branch == "overflowing slope":
+        # g'd overflows to -inf: every fit is NaN and falls back to alpha / 2.
+        x, g, d = np.array([0.0, 1.0]), np.array([1e200, 0.0]), np.array([-1e200, 0.0])
+        values = [draw(FREE_VALUES)]
+    else:
+        n = draw(st.integers(1, 3))
+        x = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        g = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        d = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        values = draw(st.lists(FREE_VALUES, min_size=1, max_size=10))
+        grad = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+        cfg = LineSearchConfig(max_rejections=draw(st.integers(1, 20)))
+    return x, d, g, f0, eps_f, values, grad, cfg, mu, allow
+
+
+BRANCHES = {
+    "first accept": lambda r: r.rejections == 0 and not r.exhausted,
+    "backtrack": lambda r: r.rejections > 0 and not r.exhausted,
+    "absorbed": lambda r: r.rejections > 0 and not r.exhausted,
+    "absorbed exhaust": lambda r: r.exhausted,
+    "exhausted": lambda r: r.exhausted,
+    "rescale accepted": lambda r: r.rescaled,
+    "rescale refused": lambda r: r.took_grad_probe and not r.rescaled and r.rejections == 1,
+    "boundary": lambda r: r.rejections == 1 and not r.exhausted,
+    "overflowing slope": lambda r: True,
+    "free": lambda r: True,
+}
+
+
+class TestMatchesReference:
+    """``backtrack`` repeats the reference search bit for bit."""
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_result_and_oracle_calls(self, branch, data):
+        x, d, g, f0, eps_f, values, grad, cfg, mu, allow = data.draw(search_case(branch))
+        ours, ref = ScriptedOracle(values, grad), ScriptedOracle(values, grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = backtrack(ours, x, d, g, f0, cfg, mu=mu, allow_rescale=allow, eps_f=eps_f)
+            expected = reference.backtrack(ref, x, d, g, f0, cfg, mu=mu, allow_rescale=allow, eps_f=eps_f)
+        assert _fields(res, x) == _fields(expected, x)
+        assert ours.calls == ref.calls
+        assert BRANCHES[branch](res), branch
+        if branch.startswith("absorbed"):
+            assert res.x_new is x or ours.calls[-1][1] == x.tobytes()

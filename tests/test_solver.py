@@ -183,7 +183,8 @@ def test_oracle_error_returns_partial_result():
 
 
 def test_timeout_status():
-    cfg = SolverConfig(eps_gtol=0.0, k_max=10**6, time_budget=0.0, variant="ours")
+    # A zero budget is refused; one nanosecond is spent before the first check.
+    cfg = SolverConfig(eps_gtol=0.0, k_max=10**6, time_budget=1e-9, variant="ours")
     res = solve(get_problem("illcond_quadratic_n100"), NoiseModel(), cfg)
     assert res.status == "timeout"
 
@@ -205,3 +206,24 @@ def test_variant_dispatch_and_validation():
         SolverConfig(k_max=0)
     r = solve(p, NoiseModel(), exact(eps_gtol=1e-8, variant="baseline_line"))
     assert r.status == "converged"
+
+
+NAN = float("nan")
+BAD_SETTINGS = [
+    ("memory_size", 0), ("memory_size", -1), ("memory_size", 2.5),
+    ("k_max", 2.5), ("k_max", NAN),
+    ("eps_gtol", -1.0), ("eps_gtol", NAN),
+    ("eps_f", -0.1), ("eps_f", 1.0), ("eps_f", NAN),
+    ("time_budget", 0.0), ("time_budget", -1.0), ("time_budget", NAN),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_SETTINGS)
+def test_config_refuses_bad_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_config_keeps_edge_settings():
+    # large_n runs with eps_gtol = 0; an infinite budget never times out.
+    SolverConfig(memory_size=1, eps_gtol=0.0, eps_f=0.0, time_budget=float("inf"))

@@ -1,0 +1,118 @@
+"""The column-wise iteration trace behaves as a list of its records."""
+
+import pickle
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qnbench.bench import run_matrix, write_trace_csv
+from qnbench.noise import NoiseModel
+from qnbench.problems import get_problem
+from qnbench.solver import IterationRecord, SolverConfig, Trace, solve
+
+FLOATS = st.floats(allow_nan=False)
+COUNTS = st.integers(0, 2**62)
+ROWS = st.lists(
+    st.tuples(FLOATS, FLOATS, FLOATS, st.sampled_from([0.0, -0.0, 1e-300, 2.5]) | FLOATS,
+              FLOATS, FLOATS, COUNTS, COUNTS, COUNTS),
+    max_size=12,
+)
+
+
+def build(rows):
+    """The trace and the list of records that ``solve`` would have kept."""
+    trace = Trace()
+    records = []
+    for k, (f_bar, g_inf, g_two, mu, alpha, delta, rejections, f_calls, g_calls) in enumerate(rows):
+        trace._append(f_bar, g_inf, g_two, mu, alpha, delta, rejections, f_calls, g_calls)
+        records.append(IterationRecord(
+            k=k, f_bar=f_bar, g_inf=g_inf, g_two=g_two, mu=mu, alpha=alpha, delta=delta,
+            set_label="K0" if mu == 0.0 else "Kplus",
+            rejections=rejections, f_calls=f_calls, g_calls=g_calls,
+        ))
+    return trace, records
+
+
+@given(ROWS, st.integers(-15, 15), st.integers(-15, 15), st.integers(-4, 4).filter(bool))
+@settings(max_examples=200)
+def test_sequence_behaviour_matches_a_list_of_the_records(rows, start, stop, step):
+    trace, records = build(rows)
+    n = len(records)
+    assert len(trace) == n
+    assert list(trace) == records
+    for i in range(-n - 2, n + 2):
+        if -n <= i < n:
+            assert trace[i] == records[i]
+            assert trace[i].k == records[i].k
+        else:
+            with pytest.raises(IndexError):
+                trace[i]
+    assert trace[start:stop:step] == records[start:stop:step]
+    assert trace[:] == records
+    assert [r.set_label for r in trace] == ["K0" if row[3] == 0.0 else "Kplus" for row in rows]
+    assert [r.k for r in trace] == list(range(n))
+    assert trace == records and records == trace
+    assert not (trace != records)
+    assert trace == tuple(records)
+    assert pickle.loads(pickle.dumps(trace)) == trace
+
+
+@given(ROWS.filter(bool), st.data())
+@settings(max_examples=100)
+def test_inequality_both_ways(rows, data):
+    trace, records = build(rows)
+    assert trace != records[:-1] and records[:-1] != trace
+    assert trace != records + records[:1] and records + records[:1] != trace
+    i = data.draw(st.integers(0, len(records) - 1))
+    changed = list(records)
+    changed[i] = IterationRecord(**{**vars(records[i]), "rejections": records[i].rejections + 1})
+    assert trace != changed and changed != trace
+    assert trace != "not a trace"
+
+
+def test_solver_trace_round_trips_through_pickle_and_csv(tmp_path):
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=4)
+    res = solve(get_problem("ext_rosenbrock_n10"), model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300))
+    trace = res.trace
+    assert isinstance(trace, Trace)
+    assert {r.set_label for r in trace} == {"K0", "Kplus"}
+    back = pickle.loads(pickle.dumps(trace))
+    assert isinstance(back, Trace) and back == trace
+    for name in Trace.__slots__:
+        assert getattr(back, name) == getattr(trace, name)
+    write_trace_csv(trace, tmp_path / "columns.csv")
+    write_trace_csv(list(trace), tmp_path / "records.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def test_parallel_traces_equal_serial_traces():
+    args = (["beale_n2", "ext_rosenbrock_n10"], ["ours", "baseline_line"],
+            NoiseModel(kind="additive_uniform", level=1e-3), 1e-2, [0, 1])
+    cfg = SolverConfig(k_max=300)
+    _, serial = run_matrix(*args, parallelism=1, base_cfg=cfg, keep_traces=True)
+    _, parallel = run_matrix(*args, parallelism=2, base_cfg=cfg, keep_traces=True)
+    assert serial.keys() == parallel.keys()
+    for key, trace in serial.items():
+        assert isinstance(parallel[key], Trace)
+        assert parallel[key] == trace
+
+
+def test_trace_retains_at_most_100_bytes_per_iteration():
+    # One record object per iteration retained about 360 bytes; nine columns of
+    # 8 bytes retain 72 plus the arrays' growth headroom.
+    problem = get_problem("illcond_quadratic_n10")
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=7)
+    cfg = SolverConfig(eps_gtol=0.0, eps_f=1e-2, k_max=2000)
+    # The first solve in a process allocates once-only state; keep it out.
+    solve(problem, model, SolverConfig(eps_gtol=0.0, eps_f=1e-2, k_max=3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = solve(problem, model, cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 2000
+    assert retained / res.iterations <= 100
