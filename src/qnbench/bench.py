@@ -20,22 +20,16 @@ import math
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, get_type_hints
 
 from .noise import NoiseModel, default_eps_f
 from .problems import get_problem
 from .solver import IterationRecord, SolveResult, SolverConfig, solve
 
 INF = math.inf
-
-RUNS_HEADER = [
-    "problem", "solver", "seed", "status", "oracle_calls",
-    "f_calls", "g_calls", "iters", "final_f_bar", "final_g_inf", "wall_ms",
-]
-TRACE_HEADER = ["k", "f_bar", "g_inf", "g_two", "mu", "alpha", "delta", "set", "rejections", "f_calls", "g_calls"]
-PROFILE_HEADER = ["solver", "tau", "rho"]
 
 # User seeds lie in [0, SEED_LIMIT): derive_oracle_seed is one-to-one there
 # and would silently alias seeds outside it (-1 and 2**63 - 1, for one).
@@ -55,6 +49,13 @@ class RunRecord:
     final_f_bar: float
     final_g_inf: float
     wall_ms: float
+
+
+# A CSV column per record field, in field order; the trace CSV calls
+# ``set_label`` "set".
+RUNS_HEADER = [f.name for f in fields(RunRecord)]
+TRACE_HEADER = ["set" if f.name == "set_label" else f.name for f in fields(IterationRecord)]
+PROFILE_HEADER = ["solver", "tau", "rho"]
 
 
 @dataclass
@@ -126,10 +127,12 @@ def run_matrix(
     Returns the canonically sorted list of :class:`RunRecord`; with
     ``keep_traces`` a dict mapping (problem, solver, seed) to the iteration
     trace is returned alongside. ``eps_f="auto"`` resolves to the model's
-    default error rate. An empty or repeating problem, solver or seed list,
-    unknown problem or solver names and seeds outside ``[0, SEED_LIMIT)``
-    fail before any run.
+    default error rate. A ``parallelism`` below 1, an empty or repeating
+    problem, solver or seed list, unknown problem or solver names and seeds
+    outside ``[0, SEED_LIMIT)`` fail before any run.
     """
+    if not isinstance(parallelism, int) or parallelism < 1:
+        raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
     seeds = list(seeds)
     for label, items in (("problem", suite), ("solver", solvers), ("seed", seeds)):
         if not items:
@@ -278,91 +281,53 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path, header: Sequence[str], rows: Iterable) -> None:
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _record_rows(cls, records: Iterable) -> Iterable[list[str]]:
+    """One row per dataclass record: every field in order, floats in full
+    precision so that a read round-trips exactly."""
+    values = attrgetter(*(f.name for f in fields(cls)))
+    return ([_fmt(v) for v in values(r)] for r in records)
+
+
+def _read_records(path, cls, header: Sequence[str], kind: str) -> list:
+    """Records of dataclass ``cls`` from a CSV written with ``header``; each
+    value is parsed by its field's type."""
+    hints = get_type_hints(cls)
+    parsers = [hints[f.name] for f in fields(cls)]
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(f"unexpected {kind} header: {found}")
+        return [cls(*[parse(v) for parse, v in zip(parsers, row, strict=True)]) for row in reader if row]
+
+
 def emit_csv(items: Sequence, path) -> None:
     """Write run records or profile curves; floats keep full precision so a
     read round-trips exactly."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if items and isinstance(items[0], ProfileCurve):
-            writer.writerow(PROFILE_HEADER)
-            for curve in items:
-                for tau, rho in curve.points:
-                    writer.writerow([curve.solver, _fmt(tau), _fmt(rho)])
-        else:
-            writer.writerow(RUNS_HEADER)
-            for r in items:
-                writer.writerow(
-                    [
-                        r.problem, r.solver, r.seed, r.status, _fmt(r.oracle_calls),
-                        r.f_calls, r.g_calls, r.iters, _fmt(r.final_f_bar),
-                        _fmt(r.final_g_inf), _fmt(r.wall_ms),
-                    ]
-                )
+    if items and isinstance(items[0], ProfileCurve):
+        rows = ([c.solver, _fmt(tau), _fmt(rho)] for c in items for tau, rho in c.points)
+        _write_csv(path, PROFILE_HEADER, rows)
+    else:
+        _write_csv(path, RUNS_HEADER, _record_rows(RunRecord, items))
 
 
 def read_runs_csv(path) -> list[RunRecord]:
-    records = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RUNS_HEADER:
-            raise ValueError(f"unexpected runs header: {reader.fieldnames}")
-        for row in reader:
-            records.append(
-                RunRecord(
-                    problem=row["problem"],
-                    solver=row["solver"],
-                    seed=int(row["seed"]),
-                    status=row["status"],
-                    oracle_calls=float(row["oracle_calls"]),
-                    f_calls=int(row["f_calls"]),
-                    g_calls=int(row["g_calls"]),
-                    iters=int(row["iters"]),
-                    final_f_bar=float(row["final_f_bar"]),
-                    final_g_inf=float(row["final_g_inf"]),
-                    wall_ms=float(row["wall_ms"]),
-                )
-            )
-    return records
+    return _read_records(path, RunRecord, RUNS_HEADER, "runs")
 
 
 def write_trace_csv(trace: Sequence[IterationRecord], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rec in trace:
-            writer.writerow(
-                [
-                    rec.k, _fmt(rec.f_bar), _fmt(rec.g_inf), _fmt(rec.g_two), _fmt(rec.mu),
-                    _fmt(rec.alpha), _fmt(rec.delta), rec.set_label, rec.rejections,
-                    rec.f_calls, rec.g_calls,
-                ]
-            )
+    _write_csv(path, TRACE_HEADER, _record_rows(IterationRecord, trace))
 
 
 def read_trace_csv(path) -> list[IterationRecord]:
-    trace = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header: {reader.fieldnames}")
-        for row in reader:
-            trace.append(
-                IterationRecord(
-                    k=int(row["k"]),
-                    f_bar=float(row["f_bar"]),
-                    g_inf=float(row["g_inf"]),
-                    g_two=float(row["g_two"]),
-                    mu=float(row["mu"]),
-                    alpha=float(row["alpha"]),
-                    delta=float(row["delta"]),
-                    set_label=row["set"],
-                    rejections=int(row["rejections"]),
-                    f_calls=int(row["f_calls"]),
-                    g_calls=int(row["g_calls"]),
-                )
-            )
-    return trace
+    return _read_records(path, IterationRecord, TRACE_HEADER, "trace")
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]

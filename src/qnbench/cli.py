@@ -106,7 +106,7 @@ def main():
 @click.option("--gtol", type=float, default=1e-2, show_default=True, help="Gradient tolerance (infinity norm).")
 @click.option("--kmax", type=click.IntRange(min=1), default=15000, show_default=True, help="Iteration cap.")
 @click.option("--seeds", default="0", show_default=True, help="Seed list: N, a,b,c or lo..hi.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Output runs CSV.")
 @click.option("--trace-dir", type=click.Path(file_okay=False), default=None, help="Write one per-iteration trace CSV per run.")
 @click.option("--fresh-fk", is_flag=True, help="Re-evaluate the objective at each iterate instead of reusing the accepted trial value.")

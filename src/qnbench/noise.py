@@ -99,16 +99,12 @@ class NoisyOracle:
     """Counting evaluation oracle for one (problem, noise model) pair.
 
     Instances hold a private RNG stream and mutable call counters, so each
-    one must be confined to a single worker. ``eps_f`` defaults to
-    :func:`default_eps_f` for the model.
+    one must be confined to a single worker.
     """
 
-    def __init__(self, problem: ObjectiveProblem, model: NoiseModel = NoiseModel(), eps_f: Optional[float] = None):
+    def __init__(self, problem: ObjectiveProblem, model: NoiseModel = NoiseModel()):
         self.problem = problem
         self.model = model
-        self.eps_f = default_eps_f(model) if eps_f is None else float(eps_f)
-        if not 0.0 <= self.eps_f < 1.0:
-            raise ValueError("eps_f must lie in [0, 1)")
         self.f_calls = 0
         self.g_calls = 0
         self._rng = np.random.Generator(np.random.Philox(model.seed))

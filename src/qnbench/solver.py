@@ -26,10 +26,13 @@ the accepted trial value from iteration k is reused as ``f_bar(x_{k+1})``
 by a step rescale is reused as the next gradient whenever it was taken at
 the finally accepted point.
 
-Each iteration leaves one row in the run's :class:`Trace`: nine scalars
-appended to typed columns, not a record object. Records are built only when
-the trace is read, so a long run costs 72 bytes per iteration (plus array
-headroom) and a trace crosses a process boundary as nine flat buffers.
+Each iteration leaves one row in the run's :class:`Trace`: a scalar per
+stored :class:`IterationRecord` field, appended to that field's typed
+column. The record's fields define the columns (and the trace CSV), so a
+new field is one dataclass line plus its value in the ``_append`` call.
+Records are built only when the trace is read: a long run costs 72 bytes
+per iteration (plus array headroom), and a trace crosses a process boundary
+as one flat buffer per column.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import operator
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -101,42 +105,46 @@ class IterationRecord:
     g_calls: int
 
 
+# The stored trace columns: every IterationRecord field but the position
+# ``k`` (the first field) and ``set_label``, which follows from ``mu``.
+_FIELDS = [f.name for f in fields(IterationRecord)]
+_COLUMNS = tuple(name for name in _FIELDS if name not in ("k", "set_label"))
+_HINTS = get_type_hints(IterationRecord)
+_TYPECODES = tuple({int: "q", float: "d"}[_HINTS[name]] for name in _COLUMNS)
+_MU = _COLUMNS.index("mu")
+_LABEL_AT = _FIELDS.index("set_label") - 1  # among the fields after ``k``
+
+
 class Trace(Sequence):
     """The iterations of one run, stored column-wise.
 
     A read-only sequence of :class:`IterationRecord`: each record is built
-    when it is read. Six float columns (``array('d')``) and three integer
-    columns (``array('q')``) hold one entry per iteration, 72 bytes in all;
-    ``k`` is the position and ``set_label`` follows from ``mu``, so neither
-    is stored. A trace equals any sequence of equal records, in order.
+    when it is read. Every stored field is one typed column (``array('d')``
+    for a float, ``array('q')`` for an int) holding one entry per iteration,
+    72 bytes in all today; ``k`` is the position and ``set_label`` follows
+    from ``mu``, so neither is stored. A trace equals any sequence of equal
+    records, in order.
     """
 
-    __slots__ = ("f_bar", "g_inf", "g_two", "mu", "alpha", "delta", "rejections", "f_calls", "g_calls")
+    __slots__ = ("_columns",)
 
     def __init__(self):
-        self.f_bar, self.g_inf, self.g_two, self.mu, self.alpha, self.delta = (array("d") for _ in range(6))
-        self.rejections, self.f_calls, self.g_calls = (array("q") for _ in range(3))
+        self._columns = tuple(array(code) for code in _TYPECODES)
 
-    def _append(self, f_bar, g_inf, g_two, mu, alpha, delta, rejections, f_calls, g_calls) -> None:
-        self.f_bar.append(f_bar)
-        self.g_inf.append(g_inf)
-        self.g_two.append(g_two)
-        self.mu.append(mu)
-        self.alpha.append(alpha)
-        self.delta.append(delta)
-        self.rejections.append(rejections)
-        self.f_calls.append(f_calls)
-        self.g_calls.append(g_calls)
+    def _append(self, *values) -> None:
+        """Append one iteration: a value for each stored column, in field order."""
+        if len(values) != len(self._columns):
+            raise TypeError(f"a trace row has {len(self._columns)} values, got {len(values)}")
+        for column, value in zip(self._columns, values):
+            column.append(value)
 
     def _record(self, k: int) -> IterationRecord:
-        mu = self.mu[k]
-        return IterationRecord(
-            k, self.f_bar[k], self.g_inf[k], self.g_two[k], mu, self.alpha[k], self.delta[k],
-            "K0" if mu == 0.0 else "Kplus", self.rejections[k], self.f_calls[k], self.g_calls[k],
-        )
+        values = [column[k] for column in self._columns]
+        values.insert(_LABEL_AT, "K0" if values[_MU] == 0.0 else "Kplus")
+        return IterationRecord(k, *values)
 
     def __len__(self) -> int:
-        return len(self.mu)
+        return len(self._columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -188,7 +196,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     point (``oracle_error``, with the partial trace).
     """
     regularized, use_ms = VARIANTS[cfg.variant]
-    oracle = NoisyOracle(problem, noise_model, eps_f=cfg.eps_f)
+    oracle = NoisyOracle(problem, noise_model)
     ls_cfg = LineSearchConfig()
     # The baseline runs the classical Armijo test: no error slack at all.
     ls_eps_f = cfg.eps_f if regularized else 0.0

@@ -11,7 +11,6 @@ from qnbench.bench import (
     INF,
     ProfileCurve,
     RunRecord,
-    RUNS_HEADER,
     aggregate_seeds,
     derive_oracle_seed,
     emit_csv,
@@ -21,6 +20,7 @@ from qnbench.bench import (
     read_runs_csv,
     read_trace_csv,
     run_matrix,
+    write_trace_csv,
 )
 from qnbench.cli import main, parse_eps_f, parse_noise, parse_seeds
 from qnbench.noise import NoiseModel
@@ -85,6 +85,15 @@ class TestRunMatrix:
         for suite, solvers, seeds, message in cases:
             with pytest.raises(ValueError, match=message):
                 run_matrix(suite, solvers, NoiseModel(), 1e-2, seeds)
+
+    @pytest.mark.parametrize("parallelism", [0, -5])
+    def test_nonpositive_parallelism_fails_before_running(self, monkeypatch, parallelism):
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench_mod, "_execute", no_run)
+        with pytest.raises(ValueError, match="parallelism"):
+            run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0], parallelism=parallelism)
 
     def test_parallel_matches_serial_except_wall_time(self, tmp_path):
         model = NoiseModel(kind="additive_uniform", level=1e-3)
@@ -208,7 +217,25 @@ class TestCsv:
     def test_header_order(self, tmp_path):
         path = tmp_path / "runs.csv"
         emit_csv([], path)
-        assert path.read_text().strip() == ",".join(RUNS_HEADER)
+        assert path.read_bytes() == (
+            b"problem,solver,seed,status,oracle_calls,f_calls,g_calls,iters,final_f_bar,final_g_inf,wall_ms\r\n"
+        )
+        path = tmp_path / "trace.csv"
+        write_trace_csv([], path)
+        assert path.read_bytes() == b"k,f_bar,g_inf,g_two,mu,alpha,delta,set,rejections,f_calls,g_calls\r\n"
+
+    def test_zero_iteration_trace_is_header_only(self, tmp_path):
+        records = run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1.0, [0], trace_dir=tmp_path)
+        assert records[0].status == "converged" and records[0].iters == 0
+        path = tmp_path / "sphere_n10__ours__seed0.csv"
+        assert path.read_bytes() == b"k,f_bar,g_inf,g_two,mu,alpha,delta,set,rejections,f_calls,g_calls\r\n"
+        assert read_trace_csv(path) == []
+
+    def test_nonfinite_values_round_trip(self, tmp_path):
+        records = [rec("p", "s", status="oracle_error", calls=INF, final_f_bar=math.nan, final_g_inf=math.nan)]
+        path = tmp_path / "runs.csv"
+        emit_csv(records, path)
+        assert repr(read_runs_csv(path)) == repr(records)
 
     def test_infinity_sentinel_round_trips(self, tmp_path):
         records = [rec("p", "s", status="max_iters", calls=INF)]
@@ -345,6 +372,8 @@ class TestCli:
             ("--eps-f", "2"),
             ("--eps-f", "abc"),
             ("--seeds", "abc"),
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
         ],
     )
     def test_bad_run_option_is_usage_error(self, tmp_path, option, value):

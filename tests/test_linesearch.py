@@ -71,7 +71,7 @@ class TestComputeDelta:
 class TestBacktrack:
     def test_exact_sphere_accepts_unit_step(self):
         p = get_problem("sphere_n2")
-        o = NoisyOracle(p, NoiseModel(), eps_f=0.0)
+        o = NoisyOracle(p, NoiseModel())
         x = np.array([1.0, 0.0])
         g = np.array([1.0, 0.0])
         res = backtrack(o, x, -g, g, 0.5, CFG, eps_f=0.0)
@@ -85,7 +85,7 @@ class TestBacktrack:
         # f = x^2/2 at x=1 with d=-4: first trial rejected, quadratic fit
         # lands exactly on alpha = 0.25 and hits the minimum
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
-        o = NoisyOracle(p, NoiseModel(), eps_f=0.0)
+        o = NoisyOracle(p, NoiseModel())
         res = backtrack(o, np.array([1.0]), np.array([-4.0]), np.array([1.0]), 0.5, CFG, eps_f=0.0)
         assert res.alpha == 0.25
         assert res.f_bar_new == 0.0
@@ -95,7 +95,7 @@ class TestBacktrack:
     def test_pure_noise_plateau_accepts_with_slack(self):
         # constant observed objective, eps_f = 0.5: slack 2 covers everything
         p = scalar_problem(lambda t: 1.0, lambda t: 0.0, name="plateau")
-        o = NoisyOracle(p, NoiseModel(), eps_f=0.5)
+        o = NoisyOracle(p, NoiseModel())
         res = backtrack(o, np.array([0.0]), np.array([-1.0]), np.array([1.0]), 1.0, CFG, eps_f=0.5)
         assert res.alpha == 1.0
         assert res.rejections == 0
@@ -103,7 +103,7 @@ class TestBacktrack:
 
     def test_relaxed_equals_classical_when_exact(self):
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
-        o = NoisyOracle(p, NoiseModel(), eps_f=0.0)
+        o = NoisyOracle(p, NoiseModel())
         res = backtrack(o, np.array([1.0]), np.array([-1.0]), np.array([1.0]), 0.5, CFG, eps_f=0.0)
         assert res.delta == 0.0  # classical Armijo exactly
 
@@ -170,7 +170,7 @@ class TestBacktrack:
         # rejections once that quantity is >= 1.
         for scale in (4.0, 16.0, 64.0):
             p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
-            o = NoisyOracle(p, NoiseModel(), eps_f=0.0)
+            o = NoisyOracle(p, NoiseModel())
             g = np.array([1.0])
             res = backtrack(o, np.array([1.0]), -scale * g, g, 0.5, CFG, eps_f=0.0)
             threshold = 2.0 * (1.0 - CFG.c) / scale
@@ -192,9 +192,9 @@ def _accepted_point_cases():
     quad = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
     x1, g1 = np.array([1.0]), np.array([1.0])
     return [
-        ("first trial accepted", NoisyOracle(get_problem("sphere_n2"), NoiseModel(), eps_f=0.0),
+        ("first trial accepted", NoisyOracle(get_problem("sphere_n2"), NoiseModel()),
          np.array([1.0, 0.3]), np.array([-1.0, -0.3]), np.array([1.0, 0.3]), 0.545, CFG, 0.0, False),
-        ("backtracked", NoisyOracle(quad, NoiseModel(), eps_f=0.0), x1, np.array([-4.0]), g1, 0.5, CFG, 0.0, False),
+        ("backtracked", NoisyOracle(quad, NoiseModel()), x1, np.array([-4.0]), g1, 0.5, CFG, 0.0, False),
         ("exhausted", FixedOracle([10.0]), np.array([0.0]), np.array([-1.0]), g1, 0.0,
          LineSearchConfig(max_rejections=12), 0.0, False),
         ("absorbed exhaust", FixedOracle([10.0]), np.array([1.0, -3.0]), np.array([-1e-20, 1e-20]),
@@ -263,7 +263,7 @@ class TestRescaleFlow:
         # exact quadratic, d = -g: trial gradient stays negative along d, no
         # sign change, so alpha stays 1 and the probe is handed back
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
-        o = NoisyOracle(p, NoiseModel(), eps_f=0.0)
+        o = NoisyOracle(p, NoiseModel())
         g = np.array([1.0])
         res = backtrack(o, np.array([1.0]), -0.5 * g, g, 0.5, CFG, mu=1.0, allow_rescale=True, eps_f=0.0)
         assert res.alpha == 1.0
@@ -276,7 +276,7 @@ class TestRescaleFlow:
         # overshooting step on a quadratic: directional derivative flips sign,
         # rescale brings alpha to the exact line minimum at 0.5
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
-        o = NoisyOracle(p, NoiseModel(), eps_f=0.2)
+        o = NoisyOracle(p, NoiseModel())
         g = np.array([1.0])
         res = backtrack(o, np.array([1.0]), np.array([-2.0]), g, 0.5, CFG, mu=1.0, allow_rescale=True, eps_f=0.2)
         assert res.rescaled
@@ -288,7 +288,7 @@ class TestRescaleFlow:
 
     def test_no_rescale_for_zero_mu(self):
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
-        o = NoisyOracle(p, NoiseModel(), eps_f=0.0)
+        o = NoisyOracle(p, NoiseModel())
         g = np.array([1.0])
         res = backtrack(o, np.array([1.0]), -g, g, 0.5, CFG, mu=0.0, allow_rescale=True, eps_f=0.0)
         assert not res.took_grad_probe

@@ -17,7 +17,7 @@ def test_exact_model_passthrough():
     o = NoisyOracle(get_problem("sphere_n2"), NoiseModel())
     assert o.f_bar(np.array([3.0, 4.0])) == 12.5
     assert o.grad_bar(np.array([3.0, 4.0])) == pytest.approx([3.0, 4.0])
-    assert o.eps_f == 0.0
+    assert default_eps_f(NoiseModel()) == 0.0
 
 
 def test_additive_uniform_objective_bound():
@@ -36,12 +36,12 @@ def test_additive_uniform_satisfies_error_model():
     p = get_problem("rosenbrock_n2")
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=11)
     o = NoisyOracle(p, model)
-    assert o.eps_f == 1e-2
+    assert default_eps_f(model) == 1e-2
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = p.x0 + rng.standard_normal(2)
         clean = p.f(x)
-        assert abs(o.f_bar(x) - clean) <= o.eps_f * max(1.0, abs(clean))
+        assert abs(o.f_bar(x) - clean) <= default_eps_f(model) * max(1.0, abs(clean))
 
 
 def test_additive_uniform_gradient_percomp():
@@ -157,10 +157,3 @@ def test_model_validation():
         NoiseModel(grad_mode="weird")
     with pytest.raises(ValueError):
         NoiseModel(seed=-1)
-
-
-def test_eps_f_range_checked():
-    with pytest.raises(ValueError):
-        NoisyOracle(get_problem("sphere_n2"), NoiseModel(), eps_f=1.0)
-    with pytest.raises(ValueError):
-        NoisyOracle(get_problem("sphere_n2"), NoiseModel(), eps_f=-0.1)

@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from finite_diff import finite_diff_gradient
 from qnbench.problems import (
     DESK_SUITE,
     LastValueMemo,
     ObjectiveProblem,
-    finite_diff_gradient,
     get_problem,
     make_illcond_quadratic,
     registry,
