@@ -82,17 +82,27 @@ def derive_oracle_seed(problem_name: str, seed: int) -> int:
 
 
 def _execute(task):
-    name, variant, seed, model, cfg, keep_trace = task
+    name, variant, seed, model, cfg, metric, keep_trace = task
     problem = get_problem(name)
     t0 = time.perf_counter()
     res = solve(problem, model, cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    record = record_from_result(name, variant, seed, res, wall_ms)
+    record = record_from_result(name, variant, seed, res, wall_ms, metric)
     return record, (res.trace if keep_trace else None)
 
 
-def record_from_result(problem: str, solver: str, seed: int, res: SolveResult, wall_ms: float) -> RunRecord:
-    n = res.f_calls + res.g_calls if res.status == "converged" else INF
+def record_from_result(
+    problem: str, solver: str, seed: int, res: SolveResult, wall_ms: float, metric: str
+) -> RunRecord:
+    """The run's record. ``oracle_calls`` is the run's cost under ``metric``
+    (``f_calls + g_calls`` for ``both``, ``f_calls`` for ``f_only``) when it
+    converged, and ``inf`` otherwise."""
+    if res.status != "converged":
+        n = INF
+    elif metric == "f_only":
+        n = res.f_calls
+    else:
+        n = res.f_calls + res.g_calls
     return RunRecord(
         problem=problem,
         solver=solver,
@@ -127,9 +137,14 @@ def run_matrix(
     Returns the canonically sorted list of :class:`RunRecord`; with
     ``keep_traces`` a dict mapping (problem, solver, seed) to the iteration
     trace is returned alongside. ``eps_f="auto"`` resolves to the model's
-    default error rate. A ``parallelism`` below 1, an empty or repeating
-    problem, solver or seed list, unknown problem or solver names and seeds
-    outside ``[0, SEED_LIMIT)`` fail before any run.
+    default error rate. Every task runs ``base_cfg`` (``SolverConfig()`` when
+    omitted) with its ``eps_gtol``, ``eps_f`` and ``variant`` replaced by
+    this call's ``eps_gtol``, resolved ``eps_f`` and the task's solver name.
+    ``metric`` picks what ``oracle_calls`` counts (see
+    :func:`record_from_result`). A ``parallelism`` below 1, an empty or
+    repeating problem, solver or seed list, unknown problem or solver names,
+    seeds outside ``[0, SEED_LIMIT)`` and a ``metric`` other than ``both``
+    or ``f_only`` fail before any run.
     """
     if not isinstance(parallelism, int) or parallelism < 1:
         raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
@@ -158,7 +173,7 @@ def run_matrix(
             for seed in seeds:
                 model = replace(noise, seed=derive_oracle_seed(name, seed))
                 cfg = replace(cfg0, variant=solver_name, eps_gtol=eps_gtol, eps_f=eps_f_val)
-                tasks.append((name, solver_name, seed, model, cfg, keep_traces or trace_dir is not None))
+                tasks.append((name, solver_name, seed, model, cfg, metric, keep_traces or trace_dir is not None))
 
     if parallelism > 1:
         # Imported here: the process pool pulls in multiprocessing and socket,
@@ -169,11 +184,6 @@ def run_matrix(
             outcomes = list(pool.map(_execute, tasks))
     else:
         outcomes = [_execute(t) for t in tasks]
-
-    if metric == "f_only":
-        for record, _ in outcomes:
-            if record.status == "converged":
-                record.oracle_calls = float(record.f_calls)
 
     outcomes.sort(key=lambda rt: (rt[0].problem, rt[0].solver, rt[0].seed))
     records = [r for r, _ in outcomes]
@@ -200,46 +210,11 @@ def aggregate_seeds(records: Sequence[RunRecord]) -> dict[tuple[str, str], float
     for key, vals in groups.items():
         finite = sorted(v for v in vals if math.isfinite(v))
         if 2 * (len(vals) - len(finite)) > len(vals):
-            agg[key] = INF
-        elif not finite:
-            agg[key] = INF
+            agg[key] = INF  # also when no seed converged
         else:
             mid = len(finite) // 2
             agg[key] = finite[mid] if len(finite) % 2 else 0.5 * (finite[mid - 1] + finite[mid])
     return agg
-
-
-def _solvers_in_order(records: Sequence[RunRecord]) -> list[str]:
-    """Solver names in the order they first appear in ``records``."""
-    return list(dict.fromkeys(r.solver for r in records))
-
-
-def performance_ratios(
-    records: Sequence[RunRecord], solvers: Optional[Sequence[str]] = None
-) -> tuple[dict[tuple[str, str], float], list[str], list[str]]:
-    """Per-problem performance ratios after seed aggregation.
-
-    Returns (ratios keyed by (problem, solver), counted problems, dropped
-    problems). Problems where every solver failed are dropped from the
-    profile population.
-    """
-    if solvers is None:
-        solvers = _solvers_in_order(records)
-    agg = aggregate_seeds(records)
-    problems = sorted({p for p, _ in agg})
-    kept, dropped = [], []
-    for p in problems:
-        best = min(agg.get((p, s), INF) for s in solvers)
-        if math.isfinite(best):
-            kept.append(p)
-        else:
-            dropped.append(p)
-    ratios = {}
-    for p in kept:
-        best = min(agg.get((p, s), INF) for s in solvers)
-        for s in solvers:
-            ratios[(p, s)] = agg.get((p, s), INF) / best
-    return ratios, kept, dropped
 
 
 def performance_profile(
@@ -257,16 +232,28 @@ def _profile(
     records: Sequence[RunRecord], solvers: Optional[Sequence[str]] = None
 ) -> tuple[list[ProfileCurve], list[str], list[str]]:
     """:func:`performance_profile` with the counted and dropped problems of
-    the one seed aggregation it runs."""
+    the one seed aggregation it runs. ``solvers`` defaults to the names in
+    the order they first appear in ``records``.
+    """
     if solvers is None:
-        solvers = _solvers_in_order(records)
-    ratios, kept, dropped = performance_ratios(records, solvers)
+        solvers = list(dict.fromkeys(r.solver for r in records))
+    agg = aggregate_seeds(records)
+    kept, dropped = [], []
+    ratios = {}  # counted problem -> ratio per solver, in solver order
+    for p in sorted({p for p, _ in agg}):
+        calls = [agg.get((p, s), INF) for s in solvers]
+        best = min(calls)
+        if math.isfinite(best):
+            kept.append(p)
+            ratios[p] = [n / best for n in calls]
+        else:
+            dropped.append(p)
     if dropped:
         warnings.warn(f"{len(dropped)} problem(s) failed for every solver and were dropped")
-    taus = sorted({1.0} | {v for v in ratios.values() if math.isfinite(v)})
+    taus = sorted({1.0} | {v for row in ratios.values() for v in row if math.isfinite(v)})
     curves = []
-    for s in solvers:
-        mine = [ratios[(p, s)] for p in kept]
+    for i, s in enumerate(solvers):
+        mine = [ratios[p][i] for p in kept]
         pts = []
         for tau in taus:
             rho = sum(1 for v in mine if v <= tau) / len(kept) if kept else 0.0

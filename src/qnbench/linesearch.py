@@ -67,22 +67,24 @@ def _check_eps_f(eps_f: float) -> None:
         raise ValueError("eps_f must lie in [0, 1)")
 
 
-def secant_rescale(alpha: float, d: Array, g: Array, g_try: Array, cfg: LineSearchConfig) -> float:
-    """One-time step rescale from the directional-derivative sign change.
+def secant_rescale(d: Array, g: Array, g_try: Array, cfg: LineSearchConfig) -> float:
+    """One-time rescale of the unit first step from the directional-derivative
+    sign change.
 
     Applies only when the directional derivative flips sign between the
-    current and trial points and the trial gradient is strictly aligned with
-    ``d`` (d'g_try > 0.5 ||d|| ||g_try||); otherwise ``alpha`` is returned
-    unchanged. The secant factor is clipped to the usual backtracking window.
+    current point and the trial ``x + d`` and the trial gradient is strictly
+    aligned with ``d`` (d'g_try > 0.5 ||d|| ||g_try||); otherwise ``1.0`` is
+    returned unchanged. The secant factor ``-d'g / (d'g_try - d'g)`` is
+    clipped to the backtracking window ``[beta_min, beta_max]``.
     """
     dg = float(d.dot(g))
     dgt = float(d.dot(g_try))
     if not (dg < 0.0 and dgt > 0.0):
-        return alpha
+        return 1.0
     if not dgt > 0.5 * math.sqrt(float(d.dot(d))) * math.sqrt(float(g_try.dot(g_try))):
-        return alpha
-    cand = alpha * (-dg) / (dgt - dg)
-    return min(max(cand, cfg.beta_min * alpha), cfg.beta_max * alpha)
+        return 1.0
+    cand = -dg / (dgt - dg)
+    return min(max(cand, cfg.beta_min), cfg.beta_max)
 
 
 def backtrack(
@@ -93,7 +95,6 @@ def backtrack(
     f_bar_x: float,
     cfg: LineSearchConfig,
     mu: float = 0.0,
-    allow_rescale: bool = False,
     *,
     eps_f: float,
 ) -> LineSearchResult:
@@ -113,12 +114,13 @@ def backtrack(
     probed without recomputing the trial; each probe still makes exactly
     one ``f_bar`` call, so call counts and noise draws are unchanged.
 
-    When ``mu > 0``, ``allow_rescale`` is set and the very first trial is
-    accepted, one gradient probe at the trial point may rescale the step by a
-    secant factor; the rescaled step is re-tested and the pre-rescale
-    acceptance is restored if it fails. The probe gradient is handed back via
-    ``g_new`` whenever it was taken at the finally accepted point, which is
-    returned as ``x_new``.
+    When ``mu > 0`` and the very first trial is accepted (so the search did
+    not run out), one gradient probe at the trial point may rescale the step
+    by a secant factor; the rescaled step is re-tested and the pre-rescale
+    acceptance is restored if it fails. The rescale follows ``mu`` alone: a
+    caller that keeps ``mu = 0`` never pays for the probe. The probe
+    gradient is handed back via ``g_new`` whenever it was taken at the
+    finally accepted point, which is returned as ``x_new``.
     """
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
@@ -170,11 +172,11 @@ def backtrack(
     g_new = None
     took_probe = False
     rescaled = False
-    if allow_rescale and mu > 0.0 and probes == 1 and not exhausted:
+    if mu > 0.0 and probes == 1 and not exhausted:
         # The first trial is x + 1.0 * d, bitwise x + d.
         g_try = oracle.grad_bar(trial)
         took_probe = True
-        alpha2 = secant_rescale(1.0, d, g, g_try, cfg)
+        alpha2 = secant_rescale(d, g, g_try, cfg)
         if alpha2 == 1.0:
             g_new = g_try
         else:

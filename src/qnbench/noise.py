@@ -24,6 +24,7 @@ per-oracle stream, drawn call by call, would give.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +46,10 @@ UNIFORM_EPS_F = 1e-2
 # Generator call costs microseconds of dispatch; a block amortises it.
 DRAW_BLOCK = 4096
 
+# Largest uniform level: the draw range [-level, level] has width 2 * level,
+# which overflows above it.
+MAX_LEVEL = sys.float_info.max / 2
+
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -52,10 +57,11 @@ _FLOAT64 = np.dtype(np.float64)
 class NoiseModel:
     """Configuration of the injected evaluation noise.
 
-    ``level`` applies to ``additive_uniform`` only; ``bits`` to
-    ``precision_cast`` only. ``grad_mode`` selects whether uniform gradient
-    noise is drawn per component (``percomp``) or as a single draw shared by
-    all components (``rank1``).
+    ``level`` applies to ``additive_uniform`` only and lies in
+    ``(0, MAX_LEVEL]``, so that the draw range ``[-level, level]`` has a
+    finite width; ``bits`` applies to ``precision_cast`` only. ``grad_mode``
+    selects whether uniform gradient noise is drawn per component
+    (``percomp``) or as a single draw shared by all components (``rank1``).
     """
 
     kind: str = "exact"
@@ -67,8 +73,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == "additive_uniform" and not self.level > 0:
-            raise ValueError("additive_uniform needs level > 0")
+        if self.kind == "additive_uniform" and not 0 < self.level <= MAX_LEVEL:
+            raise ValueError(f"additive_uniform needs 0 < level <= {MAX_LEVEL!r}, got {self.level!r}")
         if self.kind == "precision_cast" and self.bits not in (64, 32, 16):
             raise ValueError("precision_cast bits must be 64, 32 or 16")
         if self.grad_mode not in GRAD_MODES:
@@ -180,7 +186,3 @@ class NoisyOracle:
         if not np.isfinite(g).all():
             raise OracleError(f"non-finite gradient under {kind} model", x=x, kind=kind)
         return np.asarray(g, dtype=float)
-
-    @property
-    def oracle_calls(self) -> int:
-        return self.f_calls + self.g_calls

@@ -98,30 +98,26 @@ def make_sphere(n: int) -> ObjectiveProblem:
     return ObjectiveProblem(f"sphere_n{n}", n, f, grad, np.ones(n), 0.0)
 
 
+def _diagonal_quadratic(name: str, w: Array) -> ObjectiveProblem:
+    """f(x) = 0.5 * sum_i w_i * x_i^2 from x0 = 1; minimum 0 at the origin."""
+
+    def f(x):
+        return 0.5 * float(w @ (x * x))
+
+    def grad(x):
+        return w * x
+
+    return ObjectiveProblem(name, w.size, f, grad, np.ones(w.size), 0.0)
+
+
 def make_illcond_quadratic(n: int) -> ObjectiveProblem:
     """f(x) = 0.5 * sum_i i * x_i^2, condition number n."""
-    w = np.arange(1, n + 1, dtype=float)
-
-    def f(x):
-        return 0.5 * float(w @ (x * x))
-
-    def grad(x):
-        return w * x
-
-    return ObjectiveProblem(f"illcond_quadratic_n{n}", n, f, grad, np.ones(n), 0.0)
+    return _diagonal_quadratic(f"illcond_quadratic_n{n}", np.arange(1, n + 1, dtype=float))
 
 
-def make_logspaced_quadratic(n: int, span: float = 1e4) -> ObjectiveProblem:
-    """Diagonal quadratic with eigenvalues log-spaced over [1, span]."""
-    w = np.logspace(0.0, np.log10(span), n)
-
-    def f(x):
-        return 0.5 * float(w @ (x * x))
-
-    def grad(x):
-        return w * x
-
-    return ObjectiveProblem(f"logspaced_quadratic_n{n}", n, f, grad, np.ones(n), 0.0)
+def make_logspaced_quadratic(n: int) -> ObjectiveProblem:
+    """Diagonal quadratic with eigenvalues log-spaced over [1, 1e4]."""
+    return _diagonal_quadratic(f"logspaced_quadratic_n{n}", np.logspace(0.0, 4.0, n))
 
 
 def make_chained_rosenbrock(n: int) -> ObjectiveProblem:
@@ -305,8 +301,9 @@ def make_broyden_tridiagonal(n: int) -> ObjectiveProblem:
     return ObjectiveProblem(f"broyden_tridiag_n{n}", n, f, grad, np.full(n, -1.0), 0.0)
 
 
-def make_penalty1(n: int, a: float = 1e-5) -> ObjectiveProblem:
+def make_penalty1(n: int) -> ObjectiveProblem:
     """Penalty function with a soft norm constraint; flat near the solution."""
+    a = 1e-5
 
     def f(x):
         return float(a * np.add.reduce((x - 1.0) ** 2) + (x @ x - 0.25) ** 2)

@@ -11,12 +11,17 @@ enter the positive-``mu`` rule, which is what makes it noise-proof.
 A large observed drop (more than 1.0 below the gate) restarts the energy
 accumulator so that stale gradient history cannot keep ``mu`` inflated; the
 gate itself is never reset, keeping eligibility monotone.
+
+The rule's constants (``varsigma``, ``theta_min``, ``theta_max``) are class
+constants of :class:`RegularizerState`, beside :data:`RESTART_DROP`; only the
+running state is per instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,18 +34,12 @@ RESTART_DROP = 1.0
 class RegularizerState:
     """Mutable per-solver state; single writer."""
 
-    varsigma: float = 1e-10
-    theta_min: float = 1e-2
-    theta_max: float = 1.0
+    varsigma: ClassVar[float] = 1e-10
+    theta_min: ClassVar[float] = 1e-2
+    theta_max: ClassVar[float] = 1.0
     best_level: float = field(default=math.inf)  # min over gate entries of f_bar - delta
     g_energy: float = 0.0
     restarts: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.varsigma < 1.0:
-            raise ValueError("varsigma must lie in (0, 1)")
-        if not 0.0 < self.theta_min <= self.theta_max:
-            raise ValueError("need 0 < theta_min <= theta_max")
 
     def mu_zero_eligible(self, f_bar_k: float) -> bool:
         """True when the current value clears the gate (always at the start)."""

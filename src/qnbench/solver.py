@@ -8,17 +8,18 @@ maps from the variant name:
   the objective gate holds and follows the gradient-energy rule otherwise,
   a step is accepted under the error-relaxed Armijo test, and a first trial
   taken at ``mu > 0`` may be rescaled once. Off (``baseline_line*``), the
-  loop is the classical comparator: ``mu = 0`` everywhere and the plain
-  Armijo test (zero slack), which is what it takes to represent a
-  conventional line-search L-BFGS in the same cost accounting;
+  loop is the classical comparator: ``mu = 0`` everywhere (so no step is
+  rescaled) and the plain Armijo test (zero slack), which is what it takes
+  to represent a conventional line-search L-BFGS in the same cost
+  accounting;
 - *modified secant* (``*_ms``): the gradient difference is corrected by
   function values before it is damped and screened.
 
 Either way the direction is the shifted two-loop one, and the damped,
-screened curvature pair is fed back into memory. The line-search and
-regularizer constants are those of ``LineSearchConfig()`` and
-``RegularizerState()``, which own and validate them; ``SolverConfig`` holds
-and validates the per-run settings.
+screened curvature pair is fed back into memory. The line-search constants
+are those of ``LineSearchConfig()``, which owns and validates them, and the
+regularizer's are class constants of ``RegularizerState``; ``SolverConfig``
+holds and validates the per-run settings.
 
 Oracle calls are the benchmark currency, so the loop is frugal with them:
 the accepted trial value from iteration k is reused as ``f_bar(x_{k+1})``
@@ -179,10 +180,6 @@ class SolveResult:
     discarded_grad_probes: int = 0
 
     @property
-    def oracle_calls(self) -> int:
-        return self.f_calls + self.g_calls
-
-    @property
     def iterations(self) -> int:
         return len(self.trace)
 
@@ -237,10 +234,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 # screened memory otherwise guarantees descent.
                 d = -g / (1.0 + mu)
 
-            res = backtrack(
-                oracle, x, d, g, f_bar, ls_cfg, mu=mu,
-                allow_rescale=regularized, eps_f=ls_eps_f,
-            )
+            res = backtrack(oracle, x, d, g, f_bar, ls_cfg, mu=mu, eps_f=ls_eps_f)
             if regularized and eligible:
                 reg.register_k0(f_bar, res.delta)
 
@@ -267,8 +261,6 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 res.rejections, oracle.f_calls, oracle.g_calls,
             )
             x, g, f_bar = x_new, g_new, res.f_bar_new
-        else:
-            status = "max_iters"
     except OracleError:
         status = "oracle_error"
         return SolveResult(

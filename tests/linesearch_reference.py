@@ -120,7 +120,7 @@ def backtrack(
         # The first trial is x + 1.0 * d, bitwise x + d.
         g_try = oracle.grad_bar(trial)
         took_probe = True
-        alpha2 = secant_rescale(1.0, d, g, g_try, cfg)
+        alpha2 = secant_rescale(d, g, g_try, cfg)
         if alpha2 == 1.0:
             g_new = g_try
         else:

@@ -3,6 +3,7 @@ import hashlib
 import math
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -11,20 +12,21 @@ from qnbench.bench import (
     INF,
     ProfileCurve,
     RunRecord,
+    _profile,
     aggregate_seeds,
     derive_oracle_seed,
     emit_csv,
     emit_svg,
     performance_profile,
-    performance_ratios,
     read_runs_csv,
     read_trace_csv,
+    record_from_result,
     run_matrix,
     write_trace_csv,
 )
 from qnbench.cli import main, parse_eps_f, parse_noise, parse_seeds
 from qnbench.noise import NoiseModel
-from qnbench.solver import SolverConfig
+from qnbench.solver import SolveResult, SolverConfig
 
 
 def rec(problem, solver, seed=0, status="converged", calls=100.0, **kw):
@@ -121,6 +123,18 @@ class TestRunMatrix:
         (r,) = records
         assert r.oracle_calls == r.f_calls
 
+    def test_record_from_result_sets_the_metric(self):
+        def record(status, metric):
+            res = SolveResult(status, np.zeros(2), f_calls=7, g_calls=5)
+            return record_from_result("sphere_n2", "ours", 0, res, 1.5, metric)
+
+        assert record("converged", "both").oracle_calls == 12.0
+        assert record("converged", "f_only").oracle_calls == 7.0
+        for metric in ("both", "f_only"):
+            r = record("max_iters", metric)
+            assert r.oracle_calls == INF
+            assert (r.f_calls, r.g_calls) == (7, 5)
+
     def test_keep_traces(self):
         records, traces = run_matrix(
             ["sphere_n10"], ["ours"], NoiseModel(), 1e-8, [0], keep_traces=True, base_cfg=SMALL_CFG,
@@ -142,6 +156,10 @@ class TestAggregation:
         records = [rec("p", "s", seed=i, calls=100.0) for i in range(2)]
         records += [rec("p", "s", seed=2 + i, status="max_iters", calls=INF) for i in range(3)]
         assert aggregate_seeds(records)[("p", "s")] == INF
+        # No seed converged: the more-than-half test alone gives the failure.
+        for n in (1, 2, 4):
+            none = [rec("q", "s", seed=i, status="timeout", calls=INF) for i in range(n)]
+            assert aggregate_seeds(none) == {("q", "s"): INF}
 
     def test_half_failures_still_counts(self):
         records = [rec("p", "s", seed=i, calls=100.0 * (i + 1)) for i in range(2)]
@@ -174,7 +192,7 @@ class TestPerformanceProfile:
         records += [rec("bad", s, status="timeout", calls=INF) for s in "AB"]
         with pytest.warns(UserWarning, match="dropped"):
             curves = performance_profile(records, ["A", "B"])
-        _, kept, dropped = performance_ratios(records, ["A", "B"])
+            _, kept, dropped = _profile(records, ["A", "B"])
         assert kept == ["good"] and dropped == ["bad"]
         for c in curves:
             assert c.rho_at(1.0) == 1.0  # |P| excludes the dropped problem
@@ -368,6 +386,8 @@ class TestCli:
             ("--noise", "uniform:abc"),
             ("--noise", "uniform:-1"),
             ("--noise", "cast:8"),
+            ("--noise", "uniform:inf"),
+            ("--noise", "uniform:1e308"),
             ("--kmax", "0"),
             ("--eps-f", "2"),
             ("--eps-f", "abc"),

@@ -188,28 +188,28 @@ class TestBacktrack:
 
 
 def _accepted_point_cases():
-    # (label, oracle, x, d, g, f_bar_x, cfg, mu, allow_rescale) for every way a search can end
+    # (label, oracle, x, d, g, f_bar_x, cfg, mu) for every way a search can end
     quad = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
     x1, g1 = np.array([1.0]), np.array([1.0])
     return [
         ("first trial accepted", NoisyOracle(get_problem("sphere_n2"), NoiseModel()),
-         np.array([1.0, 0.3]), np.array([-1.0, -0.3]), np.array([1.0, 0.3]), 0.545, CFG, 0.0, False),
-        ("backtracked", NoisyOracle(quad, NoiseModel()), x1, np.array([-4.0]), g1, 0.5, CFG, 0.0, False),
+         np.array([1.0, 0.3]), np.array([-1.0, -0.3]), np.array([1.0, 0.3]), 0.545, CFG, 0.0),
+        ("backtracked", NoisyOracle(quad, NoiseModel()), x1, np.array([-4.0]), g1, 0.5, CFG, 0.0),
         ("exhausted", FixedOracle([10.0]), np.array([0.0]), np.array([-1.0]), g1, 0.0,
-         LineSearchConfig(max_rejections=12), 0.0, False),
+         LineSearchConfig(max_rejections=12), 0.0),
         ("absorbed exhaust", FixedOracle([10.0]), np.array([1.0, -3.0]), np.array([-1e-20, 1e-20]),
-         np.array([1e-20, -1e-20]), 0.0, CFG, 0.0, False),
+         np.array([1e-20, -1e-20]), 0.0, CFG, 0.0),
         # d'g_try = 6 > 0.5 ||d|| ||g_try|| = 3: secant factor 2 / (6 + 2) = 0.25
-        ("rescaled", FixedOracle([0.0, 0.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, CFG, 1.0, True),
-        ("rescale refused", FixedOracle([0.0, 10.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, CFG, 1.0, True),
+        ("rescaled", FixedOracle([0.0, 0.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, CFG, 1.0),
+        ("rescale refused", FixedOracle([0.0, 10.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, CFG, 1.0),
     ]
 
 
 class TestAcceptedPoint:
     @pytest.mark.parametrize("case", _accepted_point_cases(), ids=lambda c: c[0])
     def test_x_new_is_the_step_the_solver_would_take(self, case):
-        label, o, x, d, g, fx, cfg, mu, allow = case
-        res = backtrack(o, x, d, g, fx, cfg, mu=mu, allow_rescale=allow, eps_f=0.0)
+        label, o, x, d, g, fx, cfg, mu = case
+        res = backtrack(o, x, d, g, fx, cfg, mu=mu, eps_f=0.0)
         assert res.x_new.tobytes() == (x + res.alpha * d).tobytes()
         flags = {
             "first trial accepted": res.rejections == 0 and not res.took_grad_probe,
@@ -230,24 +230,24 @@ class TestAcceptedPoint:
 class TestSecantRescale:
     def test_no_sign_change_unchanged(self):
         d = np.array([1.0, 0.0])
-        assert secant_rescale(1.0, d, np.array([-2.0, 0.0]), np.array([-1.0, 0.0]), CFG) == 1.0
+        assert secant_rescale(d, np.array([-2.0, 0.0]), np.array([-1.0, 0.0]), CFG) == 1.0
 
     def test_alignment_strictly_above_threshold_required(self):
         # alignment one ulp above the 0.5 cosine threshold fails the strict test
         d = np.array([1.0, 0.0])
         g = np.array([-2.0, 0.0])
         g_try = np.array([1.0, np.nextafter(np.sqrt(3.0), 2.0)])
-        assert secant_rescale(1.0, d, g, g_try, CFG) == 1.0
+        assert secant_rescale(d, g, g_try, CFG) == 1.0
 
     def test_secant_factor_applied(self):
         d = np.array([1.0, 0.0])
         g = np.array([-2.0, 0.0])
         g_try = np.array([3.0, 0.1])
         # factor 2/(3+2) = 0.4, inside the clip window
-        assert secant_rescale(1.0, d, g, g_try, CFG) == pytest.approx(0.4)
+        assert secant_rescale(d, g, g_try, CFG) == pytest.approx(0.4)
 
     def test_collinear_full_alignment(self):
-        out = secant_rescale(1.0, np.array([1.0]), np.array([-2.0]), np.array([2.0]), CFG)
+        out = secant_rescale(np.array([1.0]), np.array([-2.0]), np.array([2.0]), CFG)
         assert out == pytest.approx(0.5)
 
     def test_clipping(self):
@@ -255,7 +255,7 @@ class TestSecantRescale:
         g = np.array([-1e-6])
         g_try = np.array([1.0])
         # raw factor ~ 1e-6: clipped at beta_min
-        assert secant_rescale(1.0, d, g, g_try, CFG) == CFG.beta_min
+        assert secant_rescale(d, g, g_try, CFG) == CFG.beta_min
 
 
 class TestRescaleFlow:
@@ -265,7 +265,7 @@ class TestRescaleFlow:
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
         g = np.array([1.0])
-        res = backtrack(o, np.array([1.0]), -0.5 * g, g, 0.5, CFG, mu=1.0, allow_rescale=True, eps_f=0.0)
+        res = backtrack(o, np.array([1.0]), -0.5 * g, g, 0.5, CFG, mu=1.0, eps_f=0.0)
         assert res.alpha == 1.0
         assert not res.rescaled
         assert res.took_grad_probe
@@ -278,7 +278,7 @@ class TestRescaleFlow:
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
         g = np.array([1.0])
-        res = backtrack(o, np.array([1.0]), np.array([-2.0]), g, 0.5, CFG, mu=1.0, allow_rescale=True, eps_f=0.2)
+        res = backtrack(o, np.array([1.0]), np.array([-2.0]), g, 0.5, CFG, mu=1.0, eps_f=0.2)
         assert res.rescaled
         assert res.alpha == pytest.approx(0.5)
         assert res.g_new is None
@@ -290,7 +290,7 @@ class TestRescaleFlow:
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
         g = np.array([1.0])
-        res = backtrack(o, np.array([1.0]), -g, g, 0.5, CFG, mu=0.0, allow_rescale=True, eps_f=0.0)
+        res = backtrack(o, np.array([1.0]), -g, g, 0.5, CFG, mu=0.0, eps_f=0.0)
         assert not res.took_grad_probe
         assert o.g_calls == 0
 
@@ -327,11 +327,10 @@ FREE_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
 
 @st.composite
 def search_case(draw, branch):
-    """(x, d, g, f_bar_x, values, grad, cfg, mu, allow_rescale) that end a
-    search through ``branch``; ``free`` draws everything at random."""
+    """(x, d, g, f_bar_x, values, grad, cfg, mu) that end a search through
+    ``branch``; ``free`` draws everything at random."""
     eps_f = draw(st.sampled_from([0.0, 1e-2]))
     mu = draw(st.sampled_from([0.0, 0.5]) | st.floats(1e-8, 1e3))
-    allow = draw(st.booleans())
     cfg = CFG
     f0 = draw(st.floats(-100.0, 100.0))
     x = np.array([draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))])
@@ -362,7 +361,7 @@ def search_case(draw, branch):
     elif branch in ("rescale accepted", "rescale refused"):
         # d'g_try = 3 ||d|| > 0.5 ||d|| ||g_try||, and d'g < 0: the secant
         # factor 2 / (2 + 3) applies.
-        mu, allow = draw(st.floats(1e-8, 1e3)), True
+        mu = draw(st.floats(1e-8, 1e3))
         x, g, d = np.array([1.0]), np.array([1.0]), np.array([-2.0])
         grad = [-1.5]
         second = accept if branch == "rescale accepted" else reject
@@ -389,7 +388,7 @@ def search_case(draw, branch):
         values = draw(st.lists(FREE_VALUES, min_size=1, max_size=10))
         grad = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
         cfg = LineSearchConfig(max_rejections=draw(st.integers(1, 20)))
-    return x, d, g, f0, eps_f, values, grad, cfg, mu, allow
+    return x, d, g, f0, eps_f, values, grad, cfg, mu
 
 
 BRANCHES = {
@@ -413,11 +412,14 @@ class TestMatchesReference:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_same_result_and_oracle_calls(self, branch, data):
-        x, d, g, f0, eps_f, values, grad, cfg, mu, allow = data.draw(search_case(branch))
+        x, d, g, f0, eps_f, values, grad, cfg, mu = data.draw(search_case(branch))
         ours, ref = ScriptedOracle(values, grad), ScriptedOracle(values, grad)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = backtrack(ours, x, d, g, f0, cfg, mu=mu, allow_rescale=allow, eps_f=eps_f)
-            expected = reference.backtrack(ref, x, d, g, f0, cfg, mu=mu, allow_rescale=allow, eps_f=eps_f)
+            res = backtrack(ours, x, d, g, f0, cfg, mu=mu, eps_f=eps_f)
+            # The reference gates the rescale on a flag as well as on
+            # ``mu > 0``; with the flag set it gates on ``mu`` alone, as
+            # ``backtrack`` does.
+            expected = reference.backtrack(ref, x, d, g, f0, cfg, mu=mu, allow_rescale=True, eps_f=eps_f)
         assert _fields(res, x) == _fields(expected, x)
         assert ours.calls == ref.calls
         assert BRANCHES[branch](res), branch

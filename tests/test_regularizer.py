@@ -85,15 +85,6 @@ def test_mu_positive_rejects_nonfinite():
         st.mu_positive(np.array([1.0, np.nan]))
 
 
-def test_state_validation():
-    with pytest.raises(ValueError):
-        RegularizerState(varsigma=0.0)
-    with pytest.raises(ValueError):
-        RegularizerState(varsigma=1.5)
-    with pytest.raises(ValueError):
-        RegularizerState(theta_min=0.5, theta_max=0.1)
-
-
 def adagrad_norm_bounds(sq_norms, mus, varsigma, theta_min, theta_max):
     total = varsigma + sum(sq_norms)
     lhs_sq = sum(s / m**2 for s, m in zip(sq_norms, mus))
