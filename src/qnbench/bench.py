@@ -21,6 +21,7 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_type_hints
@@ -81,8 +82,8 @@ def derive_oracle_seed(problem_name: str, seed: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + h) & (SEED_LIMIT - 1)
 
 
-def _execute(task):
-    name, variant, seed, model, cfg, metric, keep_trace = task
+def _execute(task, metric: str, keep_trace: bool):
+    name, variant, seed, model, cfg = task
     problem = get_problem(name)
     t0 = time.perf_counter()
     res = solve(problem, model, cfg)
@@ -118,6 +119,53 @@ def record_from_result(
     )
 
 
+def _plan(
+    suite: Sequence[str],
+    solvers: Sequence[str],
+    noise: NoiseModel,
+    eps_gtol: float,
+    seeds: Iterable[int],
+    parallelism: int = 1,
+    *,
+    eps_f: float | str = "auto",
+    base_cfg: Optional[SolverConfig] = None,
+    metric: str = "both",
+) -> list[tuple]:
+    """Every refusal :func:`run_matrix` makes, and its task list.
+
+    Takes :func:`run_matrix`'s arguments but the trace ones and raises what
+    it raises before any run. Returns one ``(problem, solver, seed, oracle
+    model, config)`` task per triple, in matrix order.
+    """
+    if not isinstance(parallelism, int) or parallelism < 1:
+        raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
+    seeds = list(seeds)
+    for label, items in (("problem", suite), ("solver", solvers), ("seed", seeds)):
+        if not items:
+            raise ValueError(f"empty {label} list")
+        seen = set()
+        for item in items:
+            if item in seen:
+                raise ValueError(f"{label} {item!r} repeated: its runs would be counted twice")
+            seen.add(item)
+    for seed in seeds:
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed {seed} outside [0, 2**63)")
+    for name in suite:
+        get_problem(name)
+    if metric not in ("both", "f_only"):
+        raise ValueError("metric must be 'both' or 'f_only'")
+    eps_f_val = default_eps_f(noise) if eps_f == "auto" else float(eps_f)
+    cfg0 = base_cfg if base_cfg is not None else SolverConfig()
+    cfgs = [replace(cfg0, variant=s, eps_gtol=eps_gtol, eps_f=eps_f_val) for s in solvers]
+    return [
+        (name, solver_name, seed, replace(noise, seed=derive_oracle_seed(name, seed)), cfg)
+        for name in suite
+        for solver_name, cfg in zip(solvers, cfgs)
+        for seed in seeds
+    ]
+
+
 def run_matrix(
     suite: Sequence[str],
     solvers: Sequence[str],
@@ -141,49 +189,31 @@ def run_matrix(
     omitted) with its ``eps_gtol``, ``eps_f`` and ``variant`` replaced by
     this call's ``eps_gtol``, resolved ``eps_f`` and the task's solver name.
     ``metric`` picks what ``oracle_calls`` counts (see
-    :func:`record_from_result`). A ``parallelism`` below 1, an empty or
-    repeating problem, solver or seed list, unknown problem or solver names,
-    seeds outside ``[0, SEED_LIMIT)`` and a ``metric`` other than ``both``
-    or ``f_only`` fail before any run.
+    :func:`record_from_result`).
+
+    These fail before any run, with a ``ValueError`` unless noted:
+
+    - a ``parallelism`` below 1;
+    - an empty or repeating problem, solver or seed list;
+    - a seed outside ``[0, SEED_LIMIT)``;
+    - an unknown problem name (``KeyError``);
+    - a ``metric`` other than ``both`` or ``f_only``;
+    - a setting ``SolverConfig`` refuses, such as an unknown solver name or
+      an ``eps_gtol`` or ``eps_f`` out of range.
+
+    An exception raised during a run propagates unchanged.
     """
-    if not isinstance(parallelism, int) or parallelism < 1:
-        raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
-    seeds = list(seeds)
-    for label, items in (("problem", suite), ("solver", solvers), ("seed", seeds)):
-        if not items:
-            raise ValueError(f"empty {label} list")
-        seen = set()
-        for item in items:
-            if item in seen:
-                raise ValueError(f"{label} {item!r} repeated: its runs would be counted twice")
-            seen.add(item)
-    for seed in seeds:
-        if not 0 <= seed < SEED_LIMIT:
-            raise ValueError(f"seed {seed} outside [0, 2**63)")
-    for name in suite:
-        get_problem(name)
-    if metric not in ("both", "f_only"):
-        raise ValueError("metric must be 'both' or 'f_only'")
-    eps_f_val = default_eps_f(noise) if eps_f == "auto" else float(eps_f)
-    cfg0 = base_cfg if base_cfg is not None else SolverConfig()
-
-    tasks = []
-    for name in suite:
-        for solver_name in solvers:
-            for seed in seeds:
-                model = replace(noise, seed=derive_oracle_seed(name, seed))
-                cfg = replace(cfg0, variant=solver_name, eps_gtol=eps_gtol, eps_f=eps_f_val)
-                tasks.append((name, solver_name, seed, model, cfg, metric, keep_traces or trace_dir is not None))
-
+    tasks = _plan(suite, solvers, noise, eps_gtol, seeds, parallelism, eps_f=eps_f, base_cfg=base_cfg, metric=metric)
+    execute = partial(_execute, metric=metric, keep_trace=keep_traces or trace_dir is not None)
     if parallelism > 1:
         # Imported here: the process pool pulls in multiprocessing and socket,
         # which a serial run never needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(_execute, tasks))
+            outcomes = list(pool.map(execute, tasks))
     else:
-        outcomes = [_execute(t) for t in tasks]
+        outcomes = [execute(t) for t in tasks]
 
     outcomes.sort(key=lambda rt: (rt[0].problem, rt[0].solver, rt[0].seed))
     records = [r for r, _ in outcomes]
@@ -223,7 +253,9 @@ def performance_profile(
     """Profile curves over the problems where at least one solver succeeded.
 
     Curves are sampled at tau = 1 and at every distinct finite ratio; failed
-    runs have infinite ratio and never enter any curve value.
+    runs have infinite ratio and never enter any curve value. An empty
+    ``solvers`` list, or one naming a solver without records, raises
+    ``ValueError``.
     """
     return _profile(records, solvers)[0]
 
@@ -237,6 +269,13 @@ def _profile(
     """
     if solvers is None:
         solvers = list(dict.fromkeys(r.solver for r in records))
+    elif not solvers:
+        raise ValueError("empty solver list")
+    else:
+        named = {r.solver for r in records}
+        for s in solvers:
+            if s not in named:
+                raise ValueError(f"solver {s!r} has no records")
     agg = aggregate_seeds(records)
     kept, dropped = [], []
     ratios = {}  # counted problem -> ratio per solver, in solver order

@@ -12,57 +12,22 @@ import math
 
 import click
 
-from .bench import SEED_LIMIT, _profile, emit_csv, emit_svg, read_runs_csv, run_matrix
+from .bench import _plan, _profile, emit_csv, emit_svg, read_runs_csv, run_matrix
 from .noise import NoiseModel
 from .problems import suite_names
-from .solver import VARIANTS, SolverConfig
-
-
-def _distinct(items: list, what: str, spec: str, hint: str | None = None) -> list:
-    """``items`` if it is a nonempty list without repeats, else a usage error:
-    a repeated problem, solver or seed would be counted twice by the profile."""
-    if not items:
-        raise click.BadParameter(f"no {what}s in {spec!r}", param_hint=hint)
-    if len(set(items)) != len(items):
-        raise click.BadParameter(f"repeated {what} in {spec!r}", param_hint=hint)
-    return items
+from .solver import SolverConfig
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """Accept ``7``, ``0,3,5`` or an inclusive range ``0..19`` of distinct
-    seeds in ``[0, 2**63)``; an empty list is an error."""
+    """Accept ``7``, ``0,3,5`` or an inclusive range ``0..19``."""
     spec = spec.strip()
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
-            seeds = list(range(int(lo), int(hi) + 1))
-        else:
-            seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise click.BadParameter(f"{spec!r} is not N, a,b,c or lo..hi") from None
-    _distinct(seeds, "seed", spec)
-    for seed in seeds:
-        if not 0 <= seed < SEED_LIMIT:
-            raise click.BadParameter(f"seed {seed} outside [0, 2**63)")
-    return seeds
-
-
-def parse_suite(spec: str) -> list[str]:
-    """``desk``, ``all`` or a list of distinct registered problem names."""
-    try:
-        names = suite_names(spec)
-    except KeyError as exc:
-        raise click.BadParameter(exc.args[0], param_hint="--suite") from None
-    return _distinct(names, "problem", spec, "--suite")
-
-
-def parse_solvers(spec: str) -> list[str]:
-    """A list of distinct solver variants."""
-    names = [tok.strip() for tok in spec.split(",") if tok.strip()]
-    for name in names:
-        if name not in VARIANTS:
-            raise click.BadParameter(f"unknown solver {name!r}, choose from {tuple(VARIANTS)}", param_hint="--solver")
-    return _distinct(names, "solver", spec, "--solver")
 
 
 def parse_noise(spec: str, grad_mode: str) -> NoiseModel:
@@ -104,9 +69,9 @@ def main():
 @click.option("--noise", default="exact", show_default=True, help="exact | uniform:LEVEL | cast:BITS")
 @click.option("--eps-f", default="auto", show_default=True, help="Objective error rate, or 'auto' for the model default.")
 @click.option("--gtol", type=float, default=1e-2, show_default=True, help="Gradient tolerance (infinity norm).")
-@click.option("--kmax", type=click.IntRange(min=1), default=15000, show_default=True, help="Iteration cap.")
+@click.option("--kmax", type=int, default=15000, show_default=True, help="Iteration cap.")
 @click.option("--seeds", default="0", show_default=True, help="Seed list: N, a,b,c or lo..hi.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers.")
+@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Output runs CSV.")
 @click.option("--trace-dir", type=click.Path(file_okay=False), default=None, help="Write one per-iteration trace CSV per run.")
 @click.option("--fresh-fk", is_flag=True, help="Re-evaluate the objective at each iterate instead of reusing the accepted trial value.")
@@ -118,27 +83,20 @@ def main():
 def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path, trace_dir,
                 fresh_fk, noise_grad_mode, metric, time_budget):
     """Run the benchmark matrix and write one CSV row per run."""
-    problem_names = parse_suite(suite)
-    solver_list = parse_solvers(solvers)
     model = parse_noise(noise, noise_grad_mode)
     eps_f = parse_eps_f(eps_f)
     seed_list = parse_seeds(seeds)
+    solver_list = [tok.strip() for tok in solvers.split(",") if tok.strip()]
+    # Ask for run_matrix's refusals before any run, so that they are usage
+    # errors while an error raised during a run still ends in a traceback.
     try:
         cfg = SolverConfig(k_max=kmax, eps_gtol=gtol, time_budget=time_budget, fresh_fk=fresh_fk)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    records = run_matrix(
-        problem_names,
-        solver_list,
-        model,
-        gtol,
-        seed_list,
-        parallelism=jobs,
-        eps_f=eps_f,
-        base_cfg=cfg,
-        metric=metric,
-        trace_dir=trace_dir,
-    )
+        matrix = (suite_names(suite), solver_list, model, gtol, seed_list, jobs)
+        settings = dict(eps_f=eps_f, base_cfg=cfg, metric=metric)
+        _plan(*matrix, **settings)
+    except (ValueError, KeyError) as exc:
+        raise click.UsageError(exc.args[0]) from None
+    records = run_matrix(*matrix, **settings, trace_dir=trace_dir)
     emit_csv(records, out_path)
     total = len(records)
     for s in solver_list:

@@ -26,9 +26,10 @@ each inner product is one BLAS ``ddot`` over two contiguous float64 vectors
 operation rounds the same whether it runs on one row or on all rows at
 once, or writes into a buffer instead of a new array. So the direction is
 bitwise the one the list-of-pairs form computes; the tests keep that form
-as the reference. The per-iteration inner products here, in the line
-search and in the solver use ``a.dot(b)`` for the same reason: it returns
-the bits ``a @ b`` does, with about half the call overhead at n <= 100.
+as the reference. The 1-D inner products here, in the line search, the
+solver, the regularizer and the problems use ``a.dot(b)`` for the same
+reason: it returns the bits ``a @ b`` does, with about half the call
+overhead at n <= 100.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class CurvaturePair:
     def from_vectors(cls, s: Array, y_bar: Array) -> "CurvaturePair":
         s = np.asarray(s, dtype=float)
         y_bar = np.asarray(y_bar, dtype=float)
-        return cls(s, y_bar, float(y_bar @ s), float(y_bar @ y_bar), float(s @ s))
+        return cls(s, y_bar, float(y_bar.dot(s)), float(y_bar.dot(y_bar)), float(s.dot(s)))
 
 
 def powell_damp(s: Array, y: Array, gamma: float) -> Array:
@@ -134,14 +135,14 @@ def modified_secant(y: Array, s: Array, f_k: float, f_k1: float, g_k: Array, g_k
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    ss = float(s @ s)
+    ss = float(s.dot(s))
     if ss == 0.0:
         raise ValueError("modified secant needs s != 0")
-    theta = 2.0 * (f_k - f_k1) + float((g_k + g_k1) @ s)
-    if abs(theta) > 0.1 * abs(float(y @ s)):
+    theta = 2.0 * (f_k - f_k1) + float((g_k + g_k1).dot(s))
+    if abs(theta) > 0.1 * abs(float(y.dot(s))):
         return y
     y_tilde = y + (theta / ss) * s
-    if float(y_tilde @ s) <= 0.0:
+    if float(y_tilde.dot(s)) <= 0.0:
         return y
     return y_tilde
 

@@ -90,7 +90,7 @@ def make_sphere(n: int) -> ObjectiveProblem:
     """f(x) = 0.5 ||x||^2."""
 
     def f(x):
-        return 0.5 * float(x @ x)
+        return 0.5 * float(x.dot(x))
 
     def grad(x):
         return np.array(x, dtype=float)
@@ -102,7 +102,7 @@ def _diagonal_quadratic(name: str, w: Array) -> ObjectiveProblem:
     """f(x) = 0.5 * sum_i w_i * x_i^2 from x0 = 1; minimum 0 at the origin."""
 
     def f(x):
-        return 0.5 * float(w @ (x * x))
+        return 0.5 * float(w.dot(x * x))
 
     def grad(x):
         return w * x
@@ -170,7 +170,7 @@ def make_beale() -> ObjectiveProblem:
     def f(x):
         x1, x2 = x
         r = coeff - x1 * (1.0 - x2**powers)
-        return float(r @ r)
+        return float(r.dot(r))
 
     def grad(x):
         x1, x2 = x
@@ -178,7 +178,7 @@ def make_beale() -> ObjectiveProblem:
         r = coeff - x1 * (1.0 - p)
         dr1 = -(1.0 - p)
         dr2 = x1 * powers * x2 ** (powers - 1.0)
-        return np.array([2.0 * (r @ dr1), 2.0 * (r @ dr2)])
+        return np.array([2.0 * r.dot(dr1), 2.0 * r.dot(dr2)])
 
     return ObjectiveProblem("beale_n2", 2, f, grad, np.array([1.0, 1.0]), 0.0)
 
@@ -268,7 +268,7 @@ def make_trigonometric(n: int) -> ObjectiveProblem:
 
     def f(x):
         r = residuals(x)
-        return float(r @ r)
+        return float(r.dot(r))
 
     def grad(x):
         r = residuals(x)
@@ -289,7 +289,7 @@ def make_broyden_tridiagonal(n: int) -> ObjectiveProblem:
 
     def f(x):
         r = residuals(x)
-        return float(r @ r)
+        return float(r.dot(r))
 
     def grad(x):
         r = residuals(x)
@@ -306,10 +306,10 @@ def make_penalty1(n: int) -> ObjectiveProblem:
     a = 1e-5
 
     def f(x):
-        return float(a * np.add.reduce((x - 1.0) ** 2) + (x @ x - 0.25) ** 2)
+        return float(a * np.add.reduce((x - 1.0) ** 2) + (x.dot(x) - 0.25) ** 2)
 
     def grad(x):
-        return 2.0 * a * (x - 1.0) + 4.0 * (float(x @ x) - 0.25) * x
+        return 2.0 * a * (x - 1.0) + 4.0 * (float(x.dot(x)) - 0.25) * x
 
     return ObjectiveProblem(f"penalty1_n{n}", n, f, grad, np.arange(1, n + 1, dtype=float))
 
@@ -319,7 +319,7 @@ def make_quartic(n: int) -> ObjectiveProblem:
     w = np.arange(1, n + 1, dtype=float)
 
     def f(x):
-        return 0.25 * float(w @ x**4)
+        return 0.25 * float(w.dot(x**4))
 
     def grad(x):
         return w * x**3

@@ -67,7 +67,7 @@ class RegularizerState:
         g_k = np.asarray(g_k, dtype=float)
         if not np.isfinite(g_k).all():
             raise ValueError("non-finite gradient in regularizer update")
-        gg = float(g_k @ g_k)
+        gg = float(g_k.dot(g_k))
         self.g_energy += gg
         big_g = math.sqrt(self.varsigma + self.g_energy)
         raw = math.sqrt(gg) / 10.0

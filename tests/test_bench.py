@@ -187,6 +187,18 @@ class TestPerformanceProfile:
         assert curves["B"].rho_at(1e9) == 0.0
         assert curves["A"].rho_at(1.0) == 1.0
 
+    def test_solver_list_must_be_nonempty_and_name_solvers_with_records(self, recwarn):
+        # A misspelt name is refused, not profiled as a solver that failed
+        # every problem (which also dropped every problem with a warning).
+        records = [rec("p", "A", calls=10.0)]
+        with pytest.raises(ValueError, match="solver 'B' has no records"):
+            performance_profile(records, ["B"])
+        with pytest.raises(ValueError, match="solver 'B' has no records"):
+            performance_profile(records, ["A", "B"])
+        with pytest.raises(ValueError, match="empty solver list"):
+            performance_profile(records, [])
+        assert not recwarn.list
+
     def test_problem_failed_by_all_is_dropped_with_warning(self):
         records = [rec("good", "A", calls=10.0), rec("good", "B", calls=10.0)]
         records += [rec("bad", s, status="timeout", calls=INF) for s in "AB"]
@@ -303,7 +315,10 @@ class TestCli:
         assert parse_seeds("7") == [7]
         assert parse_seeds("0,2,5") == [0, 2, 5]
         assert parse_seeds("0..4") == [0, 1, 2, 3, 4]
-        for spec in ("-3..-1", "-1", "0,-2", str(2**63), "5..3", ",", "", "1,1", "0,2,0"):
+        # Only the syntax is checked here; run_matrix refuses these lists.
+        assert parse_seeds("5..3") == []
+        assert parse_seeds("0,-2") == [0, -2]
+        for spec in ("abc", "1..", "0,x"):
             with pytest.raises(click.BadParameter):
                 parse_seeds(spec)
 
@@ -319,7 +334,7 @@ class TestCli:
         out = tmp_path / "r.csv"
         result = CliRunner().invoke(main, ["run", "--suite", "sphere_n10", "--seeds", "5..3", "--out", str(out)])
         assert result.exit_code == 2
-        assert "no seeds" in result.output
+        assert "empty seed list" in result.output
         assert not out.exists()
 
     def test_profile_of_empty_runs_csv_is_usage_error(self, tmp_path):
@@ -383,6 +398,7 @@ class TestCli:
             ("--solver", ","),
             ("--solver", "nope"),
             ("--solver", "ours,ours"),
+            ("--solver", "ours,nope"),
             ("--noise", "uniform:abc"),
             ("--noise", "uniform:-1"),
             ("--noise", "cast:8"),
@@ -392,6 +408,14 @@ class TestCli:
             ("--eps-f", "2"),
             ("--eps-f", "abc"),
             ("--seeds", "abc"),
+            ("--seeds", "-1"),
+            ("--seeds", "0,-2"),
+            ("--seeds", str(2**63)),
+            ("--seeds", "5..3"),
+            ("--seeds", ","),
+            ("--seeds", ""),
+            ("--seeds", "1,1"),
+            ("--seeds", "0,2,0"),
             ("--jobs", "0"),
             ("--jobs", "-3"),
         ],
@@ -402,6 +426,22 @@ class TestCli:
         args = ["run", "--suite", "sphere_n10", "--kmax", "5", "--out", str(out), option, value]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    def test_error_during_a_run_is_not_a_usage_error(self, monkeypatch, tmp_path):
+        # Only refusals made before any run are usage errors (exit 2); a
+        # ValueError raised by a run ends in a traceback (exit 1).
+        def failing_solve(problem, model, cfg):
+            raise ValueError("raised during a run")
+
+        monkeypatch.setattr(bench_mod, "solve", failing_solve)
+        out = tmp_path / "r.csv"
+        args = ["run", "--suite", "sphere_n10", "--solver", "ours", "--kmax", "5", "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "raised during a run"
+        assert "Usage:" not in result.output
         assert not out.exists()
 
     def test_flag_passthrough(self, tmp_path):
