@@ -46,16 +46,11 @@ def parse_noise(spec: str, grad_mode: str) -> NoiseModel:
 
 
 def parse_eps_f(spec: str) -> float | str:
-    """``auto`` or an objective error rate in ``[0, 1)``."""
-    if spec == "auto":
-        return spec
+    """``auto`` or a number; ``SolverConfig`` refuses one outside ``[0, 1)``."""
     try:
-        eps_f = float(spec)
+        return spec if spec == "auto" else float(spec)
     except ValueError:
-        eps_f = math.nan
-    if not 0.0 <= eps_f < 1.0:
-        raise click.BadParameter(f"{spec!r} is not 'auto' or a number in [0, 1)", param_hint="--eps-f")
-    return eps_f
+        raise click.BadParameter(f"{spec!r} is not 'auto' or a number", param_hint="--eps-f") from None
 
 
 @click.group()
@@ -95,7 +90,9 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
         settings = dict(eps_f=eps_f, base_cfg=cfg, metric=metric)
         _plan(*matrix, **settings)
     except (ValueError, KeyError) as exc:
-        raise click.UsageError(exc.args[0]) from None
+        # A SolverConfig refusal starts with the field it refuses: name its option.
+        option = dict(eps_gtol="--gtol", eps_f="--eps-f", k_max="--kmax", time_budget="--time-budget").get(exc.args[0].split()[0])
+        raise click.UsageError(f"{option}: {exc.args[0]}" if option else exc.args[0]) from None
     records = run_matrix(*matrix, **settings, trace_dir=trace_dir)
     emit_csv(records, out_path)
     total = len(records)

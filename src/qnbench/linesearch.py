@@ -10,7 +10,10 @@ With ``eps_f = 0`` this is exactly the classical Armijo test. ``delta`` is
 recomputed at every trial because it depends on the trial value itself; it
 deliberately ignores large *positive* trial values so it cannot grow without
 bound. Rejected steps are shrunk by quadratic interpolation clipped to
-``[beta_min * alpha, beta_max * alpha]``.
+``[BETA_MIN * alpha, BETA_MAX * alpha]``; ``c`` is :data:`ARMIJO_C`.
+
+The search sees the gradient at ``x`` only through the directional
+derivative ``g'd``, which the caller passes in.
 """
 
 from __future__ import annotations
@@ -24,20 +27,12 @@ import numpy as np
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    c: float = 1e-4
-    beta_min: float = 1.0 / 16.0
-    beta_max: float = 15.0 / 16.0
-    max_rejections: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
-            raise ValueError("c must lie in (0, 1)")
-        if not 0.0 < self.beta_min < self.beta_max < 1.0:
-            raise ValueError("need 0 < beta_min < beta_max < 1")
-        if self.max_rejections < 1:
-            raise ValueError("max_rejections must be positive")
+# The relaxed Armijo test's decrease constant, the clip window of each
+# shrink (a fraction of the rejected step) and the rejection cap.
+ARMIJO_C = 1e-4
+BETA_MIN = 1.0 / 16.0
+BETA_MAX = 15.0 / 16.0
+MAX_REJECTIONS = 100
 
 
 @dataclass
@@ -67,43 +62,43 @@ def _check_eps_f(eps_f: float) -> None:
         raise ValueError("eps_f must lie in [0, 1)")
 
 
-def secant_rescale(d: Array, g: Array, g_try: Array, cfg: LineSearchConfig) -> float:
+def secant_rescale(d: Array, gtd: float, g_try: Array) -> float:
     """One-time rescale of the unit first step from the directional-derivative
     sign change.
 
-    Applies only when the directional derivative flips sign between the
-    current point and the trial ``x + d`` and the trial gradient is strictly
-    aligned with ``d`` (d'g_try > 0.5 ||d|| ||g_try||); otherwise ``1.0`` is
-    returned unchanged. The secant factor ``-d'g / (d'g_try - d'g)`` is
-    clipped to the backtracking window ``[beta_min, beta_max]``.
+    ``gtd`` is the directional derivative ``g'd`` at the current point.
+    Applies only when it flips sign between the current point and the trial
+    ``x + d`` and the trial gradient is strictly aligned with ``d``
+    (d'g_try > 0.5 ||d|| ||g_try||); otherwise ``1.0`` is returned
+    unchanged. The secant factor ``-g'd / (d'g_try - g'd)`` is clipped to
+    the backtracking window ``[BETA_MIN, BETA_MAX]``.
     """
-    dg = float(d.dot(g))
     dgt = float(d.dot(g_try))
-    if not (dg < 0.0 and dgt > 0.0):
+    if not (gtd < 0.0 and dgt > 0.0):
         return 1.0
     if not dgt > 0.5 * math.sqrt(float(d.dot(d))) * math.sqrt(float(g_try.dot(g_try))):
         return 1.0
-    cand = -dg / (dgt - dg)
-    return min(max(cand, cfg.beta_min), cfg.beta_max)
+    cand = -gtd / (dgt - gtd)
+    return min(max(cand, BETA_MIN), BETA_MAX)
 
 
 def backtrack(
     oracle,
     x: Array,
     d: Array,
-    g: Array,
+    gtd: float,
     f_bar_x: float,
-    cfg: LineSearchConfig,
     mu: float = 0.0,
     *,
     eps_f: float,
 ) -> LineSearchResult:
     """Find a step along descent direction ``d`` passing the relaxed test.
 
+    ``gtd`` is the directional derivative ``g'd`` at ``x``, and
     ``eps_f`` is the error rate of the slack ``delta``; ``0`` gives the
     classical Armijo test. Starts at ``alpha = 1`` and shrinks by clipped
     interpolation on each rejection. If rejections exceed
-    ``cfg.max_rejections`` the smallest trial is accepted anyway with
+    :data:`MAX_REJECTIONS` the smallest trial is accepted anyway with
     ``exhausted`` set: the relaxed test holds for small enough steps, so
     running out indicates a broken error model rather than a recoverable
     state.
@@ -125,12 +120,11 @@ def backtrack(
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
     isfinite = math.isfinite
-    c, beta_min, beta_max, max_rejections = cfg.c, cfg.beta_min, cfg.beta_max, cfg.max_rejections
+    c, beta_min, beta_max, max_rejections = ARMIJO_C, BETA_MIN, BETA_MAX, MAX_REJECTIONS
     # delta = slack * max(1, f_bar_x, -f_trial), in the order of the
     # three-argument max.
     slack = 2.0 * eps_f / (1.0 - eps_f)
     scale_floor = max(1.0, f_bar_x)
-    gtd = float(g.dot(d))
     alpha = 1.0
     trial = x + alpha * d
     x_bytes = None
@@ -176,7 +170,7 @@ def backtrack(
         # The first trial is x + 1.0 * d, bitwise x + d.
         g_try = oracle.grad_bar(trial)
         took_probe = True
-        alpha2 = secant_rescale(d, g, g_try, cfg)
+        alpha2 = secant_rescale(d, gtd, g_try)
         if alpha2 == 1.0:
             g_new = g_try
         else:

@@ -23,10 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-import numpy as np
-
-Array = np.ndarray
-
 RESTART_DROP = 1.0
 
 
@@ -57,17 +53,16 @@ class RegularizerState:
             self.restarts += 1
         self.best_level = min(self.best_level, f_bar_k - delta_k)
 
-    def mu_positive(self, g_k: Array) -> float:
-        """Shift for an iteration that failed the gate.
+    def mu_positive(self, gg: float) -> float:
+        """Shift for an iteration that failed the gate, from ``gg = ||g_k||^2``.
 
-        Adds ``||g_k||^2`` to the accumulator first, so the resulting
+        Adds ``gg`` to the accumulator first, so the resulting
         ``G = sqrt(varsigma + energy)`` always dominates ``||g_k||`` and the
         effective factor ``mu / G`` stays inside [theta_min, theta_max].
+        A NaN ``gg`` is refused; an overflowed ``gg = inf`` gives ``mu = inf``.
         """
-        g_k = np.asarray(g_k, dtype=float)
-        if not np.isfinite(g_k).all():
-            raise ValueError("non-finite gradient in regularizer update")
-        gg = float(g_k.dot(g_k))
+        if math.isnan(gg):
+            raise ValueError("NaN squared gradient norm in regularizer update")
         self.g_energy += gg
         big_g = math.sqrt(self.varsigma + self.g_energy)
         raw = math.sqrt(gg) / 10.0

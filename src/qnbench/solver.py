@@ -17,9 +17,9 @@ maps from the variant name:
 
 Either way the direction is the shifted two-loop one, and the damped,
 screened curvature pair is fed back into memory. The line-search constants
-are those of ``LineSearchConfig()``, which owns and validates them, and the
-regularizer's are class constants of ``RegularizerState``; ``SolverConfig``
-holds and validates the per-run settings.
+are module constants of :mod:`qnbench.linesearch`, and the regularizer's are
+class constants of ``RegularizerState``; ``SolverConfig`` holds and
+validates the per-run settings.
 
 Oracle calls are the benchmark currency, so the loop is frugal with them:
 the accepted trial value from iteration k is reused as ``f_bar(x_{k+1})``
@@ -49,7 +49,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .lbfgs import LbfgsMemory, modified_secant, powell_damp, screen_pair
-from .linesearch import LineSearchConfig, backtrack
+from .linesearch import backtrack
 from .noise import NoiseModel, NoisyOracle, OracleError
 from .problems import ObjectiveProblem
 from .regularizer import RegularizerState
@@ -67,6 +67,13 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Per-run settings, validated when built.
+
+    ``time_budget`` (seconds) is checked between iterations only, so a run
+    overruns it by up to one iteration, whose search may make all its
+    ``linesearch.MAX_REJECTIONS + 1`` objective probes.
+    """
+
     memory_size: int = 10
     k_max: int = 15000
     eps_gtol: float = 1e-5
@@ -194,7 +201,6 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     """
     regularized, use_ms = VARIANTS[cfg.variant]
     oracle = NoisyOracle(problem, noise_model)
-    ls_cfg = LineSearchConfig()
     # The baseline runs the classical Armijo test: no error slack at all.
     ls_eps_f = cfg.eps_f if regularized else 0.0
 
@@ -221,20 +227,23 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
             if cfg.fresh_fk and k > 0:
                 f_bar = oracle.f_bar(x)
 
+            gg = float(g.dot(g))
             if regularized:
                 eligible = reg.mu_zero_eligible(f_bar)
-                mu = 0.0 if eligible else reg.mu_positive(g)
+                mu = 0.0 if eligible else reg.mu_positive(gg)
             else:
                 eligible = False
                 mu = 0.0
 
             d = memory.direction(g, mu)
-            if float(g.dot(d)) >= 0.0:
+            gtd = float(g.dot(d))
+            if gtd >= 0.0:
                 # Numerically degenerate (underflow-scale gradients); the
                 # screened memory otherwise guarantees descent.
                 d = -g / (1.0 + mu)
+                gtd = float(g.dot(d))
 
-            res = backtrack(oracle, x, d, g, f_bar, ls_cfg, mu=mu, eps_f=ls_eps_f)
+            res = backtrack(oracle, x, d, gtd, f_bar, mu=mu, eps_f=ls_eps_f)
             if regularized and eligible:
                 reg.register_k0(f_bar, res.delta)
 
@@ -257,7 +266,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                     memory.push(pair)
 
             trace._append(
-                f_bar, g_inf, math.sqrt(float(g.dot(g))), mu, res.alpha, res.delta,
+                f_bar, g_inf, math.sqrt(gg), mu, res.alpha, res.delta,
                 res.rejections, oracle.f_calls, oracle.g_calls,
             )
             x, g, f_bar = x_new, g_new, res.f_bar_new

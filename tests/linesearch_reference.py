@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from qnbench.linesearch import LineSearchConfig, LineSearchResult, secant_rescale
+from qnbench.linesearch import ARMIJO_C, BETA_MAX, BETA_MIN, MAX_REJECTIONS, LineSearchResult, secant_rescale
 
 Array = np.ndarray
 
@@ -36,7 +36,7 @@ def compute_delta(eps_f: float, f_bar_x: float, f_bar_trial: float) -> float:
     return _delta(eps_f, f_bar_x, f_bar_trial)
 
 
-def _interpolate(alpha: float, f0: float, gtd: float, f_trial: float, cfg: LineSearchConfig) -> float:
+def _interpolate(alpha: float, f0: float, gtd: float, f_trial: float) -> float:
     """Minimizer of the quadratic fit through (f0, gtd, f_trial), clipped.
 
     Degenerate or negative-curvature fits fall back to alpha/2, which always
@@ -49,16 +49,15 @@ def _interpolate(alpha: float, f0: float, gtd: float, f_trial: float, cfg: LineS
         cand = 0.5 * alpha
     if not math.isfinite(cand):
         cand = 0.5 * alpha
-    return min(max(cand, cfg.beta_min * alpha), cfg.beta_max * alpha)
+    return min(max(cand, BETA_MIN * alpha), BETA_MAX * alpha)
 
 
 def backtrack(
     oracle,
     x: Array,
     d: Array,
-    g: Array,
+    gtd: float,
     f_bar_x: float,
-    cfg: LineSearchConfig,
     mu: float = 0.0,
     allow_rescale: bool = False,
     *,
@@ -66,10 +65,11 @@ def backtrack(
 ) -> LineSearchResult:
     """Find a step along descent direction ``d`` passing the relaxed test.
 
-    ``eps_f`` is the error rate of the slack ``delta``; ``0`` gives the
-    classical Armijo test. Starts at ``alpha = 1`` and shrinks by clipped
+    ``gtd`` is the directional derivative ``g'd`` at ``x``, and ``eps_f``
+    is the error rate of the slack ``delta``; ``0`` gives the classical
+    Armijo test. Starts at ``alpha = 1`` and shrinks by clipped
     interpolation on each rejection. If rejections exceed
-    ``cfg.max_rejections`` the smallest trial is accepted anyway with
+    ``MAX_REJECTIONS`` the smallest trial is accepted anyway with
     ``exhausted`` set: the relaxed test holds for small enough steps, so
     running out indicates a broken error model rather than a recoverable
     state.
@@ -89,8 +89,7 @@ def backtrack(
     """
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
-    c = cfg.c
-    gtd = float(g.dot(d))
+    c = ARMIJO_C
     alpha = 1.0
     trial = x + alpha * d
     x_bytes = None
@@ -102,10 +101,10 @@ def backtrack(
         delta = _delta(eps_f, f_bar_x, f_trial)
         if f_bar_x + c * alpha * gtd + delta >= f_trial:
             break
-        if probes - 1 >= cfg.max_rejections:
+        if probes - 1 >= MAX_REJECTIONS:
             exhausted = True
             break
-        alpha = _interpolate(alpha, f_bar_x, gtd, f_trial, cfg)
+        alpha = _interpolate(alpha, f_bar_x, gtd, f_trial)
         if trial is not x:
             trial = x + alpha * d
             if x_bytes is None:
@@ -120,7 +119,7 @@ def backtrack(
         # The first trial is x + 1.0 * d, bitwise x + d.
         g_try = oracle.grad_bar(trial)
         took_probe = True
-        alpha2 = secant_rescale(d, g, g_try, cfg)
+        alpha2 = secant_rescale(d, gtd, g_try)
         if alpha2 == 1.0:
             g_new = g_try
         else:

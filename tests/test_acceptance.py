@@ -16,7 +16,7 @@ from lbfgs_reference import bfgs_spectral_bounds, materialize
 from linesearch_reference import compute_delta
 from qnbench.bench import aggregate_seeds, performance_profile, run_matrix
 from qnbench.lbfgs import CurvaturePair, LbfgsMemory, screen_pair
-from qnbench.linesearch import LineSearchConfig
+from qnbench.linesearch import ARMIJO_C, BETA_MAX, BETA_MIN
 from qnbench.noise import CAST_EPS_F, UNIFORM_EPS_F, NoiseModel, default_eps_f
 from qnbench.problems import DESK_SUITE, get_problem
 from qnbench.regularizer import RESTART_DROP, RegularizerState
@@ -288,13 +288,12 @@ def test_criterion_8_rate_trend():
 
 def test_criterion_9_configuration_defaults():
     scfg = SolverConfig()
-    lcfg = LineSearchConfig()
     ok = (
         scfg.memory_size == 10
         and scfg.k_max == 15000
-        and lcfg.c == 1e-4
-        and lcfg.beta_min == 1.0 / 16.0
-        and lcfg.beta_max == 15.0 / 16.0
+        and ARMIJO_C == 1e-4
+        and BETA_MIN == 1.0 / 16.0
+        and BETA_MAX == 15.0 / 16.0
         and RegularizerState().varsigma == 1e-10
         and UNIFORM_EPS_F == 1e-2
         and CAST_EPS_F == {64: 2.22e-9, 32: 1.19e-3, 16: 9.77e-2}

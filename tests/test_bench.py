@@ -351,7 +351,9 @@ class TestCli:
         assert parse_eps_f("auto") == "auto"
         assert parse_eps_f("0") == 0.0
         assert parse_eps_f("0.01") == 0.01
-        for spec in ("1", "-0.1", "nan", "inf", "abc", ""):
+        # The range is SolverConfig's to refuse (see test_cli_usage_error).
+        assert (parse_eps_f("1"), parse_eps_f("-0.1")) == (1.0, -0.1)
+        for spec in ("abc", ""):
             with pytest.raises(click.BadParameter):
                 parse_eps_f(spec)
 
@@ -490,6 +492,8 @@ class TestBadSolverSettings:
             ("--time-budget", "nan", "time_budget"),
             ("--eps-f", "-0.1", "--eps-f"),
             ("--eps-f", "nan", "--eps-f"),
+            ("--eps-f", "1", "--eps-f"),
+            ("--eps-f", "inf", "--eps-f"),
         ],
     )
     def test_cli_usage_error(self, monkeypatch, tmp_path, option, value, field):

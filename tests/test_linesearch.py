@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 import linesearch_reference as reference
 from linesearch_reference import _interpolate, compute_delta
-from qnbench.linesearch import LineSearchConfig, backtrack, secant_rescale
+from qnbench.linesearch import ARMIJO_C, BETA_MAX, BETA_MIN, MAX_REJECTIONS, backtrack, secant_rescale
 from qnbench.noise import NoiseModel, NoisyOracle
 from qnbench.problems import ObjectiveProblem, get_problem
-
-CFG = LineSearchConfig()
 
 
 def scalar_problem(f, grad, x0=1.0, name="scalar"):
@@ -74,7 +72,7 @@ class TestBacktrack:
         o = NoisyOracle(p, NoiseModel())
         x = np.array([1.0, 0.0])
         g = np.array([1.0, 0.0])
-        res = backtrack(o, x, -g, g, 0.5, CFG, eps_f=0.0)
+        res = backtrack(o, x, -g, -1.0, 0.5, eps_f=0.0)
         assert res.alpha == 1.0
         assert res.f_bar_new == 0.0
         assert res.rejections == 0
@@ -86,7 +84,7 @@ class TestBacktrack:
         # lands exactly on alpha = 0.25 and hits the minimum
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
-        res = backtrack(o, np.array([1.0]), np.array([-4.0]), np.array([1.0]), 0.5, CFG, eps_f=0.0)
+        res = backtrack(o, np.array([1.0]), np.array([-4.0]), -4.0, 0.5, eps_f=0.0)
         assert res.alpha == 0.25
         assert res.f_bar_new == 0.0
         assert res.rejections == 1
@@ -96,7 +94,7 @@ class TestBacktrack:
         # constant observed objective, eps_f = 0.5: slack 2 covers everything
         p = scalar_problem(lambda t: 1.0, lambda t: 0.0, name="plateau")
         o = NoisyOracle(p, NoiseModel())
-        res = backtrack(o, np.array([0.0]), np.array([-1.0]), np.array([1.0]), 1.0, CFG, eps_f=0.5)
+        res = backtrack(o, np.array([0.0]), np.array([-1.0]), -1.0, 1.0, eps_f=0.5)
         assert res.alpha == 1.0
         assert res.rejections == 0
         assert res.delta == pytest.approx(2.0)
@@ -104,7 +102,7 @@ class TestBacktrack:
     def test_relaxed_equals_classical_when_exact(self):
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
-        res = backtrack(o, np.array([1.0]), np.array([-1.0]), np.array([1.0]), 0.5, CFG, eps_f=0.0)
+        res = backtrack(o, np.array([1.0]), np.array([-1.0]), -1.0, 0.5, eps_f=0.0)
         assert res.delta == 0.0  # classical Armijo exactly
 
     def test_accepted_step_respects_slack_bound(self):
@@ -117,20 +115,19 @@ class TestBacktrack:
             g = o.grad_bar(x)
             fx = o.f_bar(x)
             d = -g / max(1.0, float(np.linalg.norm(g)))
-            res = backtrack(o, x, d, g, fx, CFG, eps_f=1e-2)
+            res = backtrack(o, x, d, float(g.dot(d)), fx, eps_f=1e-2)
             if not res.exhausted:
                 assert res.f_bar_new <= fx + res.delta
             x = x + res.alpha * d + 0.01 * rng.standard_normal(2)
 
     def test_step_shrink_bounds_and_exhaustion(self):
         # scripted oracle: every trial comes back far above the incumbent
-        cfg = LineSearchConfig(max_rejections=12)
         o = FixedOracle([10.0], eps_f=0.0)
-        res = backtrack(o, np.array([0.0]), np.array([-1.0]), np.array([1.0]), 0.0, cfg, eps_f=0.0)
+        res = backtrack(o, np.array([0.0]), np.array([-1.0]), -1.0, 0.0, eps_f=0.0)
         assert res.exhausted
-        assert res.rejections == 12
-        assert o.f_calls == 13
-        assert cfg.beta_min**12 <= res.alpha <= cfg.beta_max**12
+        assert res.rejections == MAX_REJECTIONS
+        assert o.f_calls == MAX_REJECTIONS + 1
+        assert BETA_MIN**MAX_REJECTIONS <= res.alpha <= BETA_MAX**MAX_REJECTIONS
 
     def test_vanishing_step_probes_x_until_exhausted(self):
         # alpha * d is lost against x from the first probe on: every trial is
@@ -138,10 +135,10 @@ class TestBacktrack:
         o = FixedOracle([10.0], eps_f=0.0)
         x = np.array([1.0, -3.0])
         d = np.array([-1e-20, 1e-20])
-        res = backtrack(o, x, d, -d, 0.0, CFG, eps_f=0.0)
+        res = backtrack(o, x, d, float(-d.dot(d)), 0.0, eps_f=0.0)
         assert res.exhausted
-        assert o.f_calls == CFG.max_rejections + 1
-        assert len(o.points) == CFG.max_rejections + 1
+        assert o.f_calls == MAX_REJECTIONS + 1
+        assert len(o.points) == MAX_REJECTIONS + 1
         assert all(p.tobytes() == x.tobytes() for p in o.points)
 
     @pytest.mark.parametrize("x2, absorbs", [(0.0, True), (-0.0, False)])
@@ -154,11 +151,11 @@ class TestBacktrack:
         x = np.array([1.0, -0.0, x2, 3.0])
         d = np.array([-1e-9, -1e-300, 0.0, 2e-12])
         g = -d
-        res = backtrack(o, x, d, g, 0.0, CFG, eps_f=0.0)
+        res = backtrack(o, x, d, float(g.dot(d)), 0.0, eps_f=0.0)
         alpha, expected = 1.0, []
-        for _ in range(CFG.max_rejections + 1):
+        for _ in range(MAX_REJECTIONS + 1):
             expected.append(x + alpha * d)
-            alpha = _interpolate(alpha, 0.0, float(g @ d), 10.0, CFG)
+            alpha = _interpolate(alpha, 0.0, float(g @ d), 10.0)
         assert res.exhausted
         assert [p.tobytes() for p in o.points] == [e.tobytes() for e in expected]
         assert o.points[0].tobytes() != x.tobytes()
@@ -172,44 +169,35 @@ class TestBacktrack:
             p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
             o = NoisyOracle(p, NoiseModel())
             g = np.array([1.0])
-            res = backtrack(o, np.array([1.0]), -scale * g, g, 0.5, CFG, eps_f=0.0)
-            threshold = 2.0 * (1.0 - CFG.c) / scale
-            bound = math.ceil(math.log(threshold) / math.log(CFG.beta_max))
+            res = backtrack(o, np.array([1.0]), -scale * g, -scale, 0.5, eps_f=0.0)
+            threshold = 2.0 * (1.0 - ARMIJO_C) / scale
+            bound = math.ceil(math.log(threshold) / math.log(BETA_MAX))
             assert not res.exhausted
             assert res.rejections <= max(bound, 0) + 1
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LineSearchConfig(c=0.0)
-        with pytest.raises(ValueError):
-            LineSearchConfig(beta_min=0.5, beta_max=0.25)
-        with pytest.raises(ValueError):
-            LineSearchConfig(max_rejections=0)
-
 
 def _accepted_point_cases():
-    # (label, oracle, x, d, g, f_bar_x, cfg, mu) for every way a search can end
+    # (label, oracle, x, d, g, f_bar_x, mu) for every way a search can end
     quad = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
     x1, g1 = np.array([1.0]), np.array([1.0])
     return [
         ("first trial accepted", NoisyOracle(get_problem("sphere_n2"), NoiseModel()),
-         np.array([1.0, 0.3]), np.array([-1.0, -0.3]), np.array([1.0, 0.3]), 0.545, CFG, 0.0),
-        ("backtracked", NoisyOracle(quad, NoiseModel()), x1, np.array([-4.0]), g1, 0.5, CFG, 0.0),
-        ("exhausted", FixedOracle([10.0]), np.array([0.0]), np.array([-1.0]), g1, 0.0,
-         LineSearchConfig(max_rejections=12), 0.0),
+         np.array([1.0, 0.3]), np.array([-1.0, -0.3]), np.array([1.0, 0.3]), 0.545, 0.0),
+        ("backtracked", NoisyOracle(quad, NoiseModel()), x1, np.array([-4.0]), g1, 0.5, 0.0),
+        ("exhausted", FixedOracle([10.0]), np.array([0.0]), np.array([-1.0]), g1, 0.0, 0.0),
         ("absorbed exhaust", FixedOracle([10.0]), np.array([1.0, -3.0]), np.array([-1e-20, 1e-20]),
-         np.array([1e-20, -1e-20]), 0.0, CFG, 0.0),
+         np.array([1e-20, -1e-20]), 0.0, 0.0),
         # d'g_try = 6 > 0.5 ||d|| ||g_try|| = 3: secant factor 2 / (6 + 2) = 0.25
-        ("rescaled", FixedOracle([0.0, 0.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, CFG, 1.0),
-        ("rescale refused", FixedOracle([0.0, 10.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, CFG, 1.0),
+        ("rescaled", FixedOracle([0.0, 0.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, 1.0),
+        ("rescale refused", FixedOracle([0.0, 10.0], grad=[-3.0]), x1, np.array([-2.0]), g1, 0.5, 1.0),
     ]
 
 
 class TestAcceptedPoint:
     @pytest.mark.parametrize("case", _accepted_point_cases(), ids=lambda c: c[0])
     def test_x_new_is_the_step_the_solver_would_take(self, case):
-        label, o, x, d, g, fx, cfg, mu = case
-        res = backtrack(o, x, d, g, fx, cfg, mu=mu, eps_f=0.0)
+        label, o, x, d, g, fx, mu = case
+        res = backtrack(o, x, d, float(g.dot(d)), fx, mu=mu, eps_f=0.0)
         assert res.x_new.tobytes() == (x + res.alpha * d).tobytes()
         flags = {
             "first trial accepted": res.rejections == 0 and not res.took_grad_probe,
@@ -230,32 +218,29 @@ class TestAcceptedPoint:
 class TestSecantRescale:
     def test_no_sign_change_unchanged(self):
         d = np.array([1.0, 0.0])
-        assert secant_rescale(d, np.array([-2.0, 0.0]), np.array([-1.0, 0.0]), CFG) == 1.0
+        assert secant_rescale(d, -2.0, np.array([-1.0, 0.0])) == 1.0
 
     def test_alignment_strictly_above_threshold_required(self):
         # alignment one ulp above the 0.5 cosine threshold fails the strict test
         d = np.array([1.0, 0.0])
-        g = np.array([-2.0, 0.0])
         g_try = np.array([1.0, np.nextafter(np.sqrt(3.0), 2.0)])
-        assert secant_rescale(d, g, g_try, CFG) == 1.0
+        assert secant_rescale(d, -2.0, g_try) == 1.0
 
     def test_secant_factor_applied(self):
         d = np.array([1.0, 0.0])
-        g = np.array([-2.0, 0.0])
         g_try = np.array([3.0, 0.1])
         # factor 2/(3+2) = 0.4, inside the clip window
-        assert secant_rescale(d, g, g_try, CFG) == pytest.approx(0.4)
+        assert secant_rescale(d, -2.0, g_try) == pytest.approx(0.4)
 
     def test_collinear_full_alignment(self):
-        out = secant_rescale(np.array([1.0]), np.array([-2.0]), np.array([2.0]), CFG)
+        out = secant_rescale(np.array([1.0]), -2.0, np.array([2.0]))
         assert out == pytest.approx(0.5)
 
     def test_clipping(self):
         d = np.array([1.0])
-        g = np.array([-1e-6])
         g_try = np.array([1.0])
         # raw factor ~ 1e-6: clipped at beta_min
-        assert secant_rescale(d, g, g_try, CFG) == CFG.beta_min
+        assert secant_rescale(d, -1e-6, g_try) == BETA_MIN
 
 
 class TestRescaleFlow:
@@ -264,8 +249,7 @@ class TestRescaleFlow:
         # sign change, so alpha stays 1 and the probe is handed back
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
-        g = np.array([1.0])
-        res = backtrack(o, np.array([1.0]), -0.5 * g, g, 0.5, CFG, mu=1.0, eps_f=0.0)
+        res = backtrack(o, np.array([1.0]), np.array([-0.5]), -0.5, 0.5, mu=1.0, eps_f=0.0)
         assert res.alpha == 1.0
         assert not res.rescaled
         assert res.took_grad_probe
@@ -277,8 +261,7 @@ class TestRescaleFlow:
         # rescale brings alpha to the exact line minimum at 0.5
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
-        g = np.array([1.0])
-        res = backtrack(o, np.array([1.0]), np.array([-2.0]), g, 0.5, CFG, mu=1.0, eps_f=0.2)
+        res = backtrack(o, np.array([1.0]), np.array([-2.0]), -2.0, 0.5, mu=1.0, eps_f=0.2)
         assert res.rescaled
         assert res.alpha == pytest.approx(0.5)
         assert res.g_new is None
@@ -289,8 +272,7 @@ class TestRescaleFlow:
     def test_no_rescale_for_zero_mu(self):
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
-        g = np.array([1.0])
-        res = backtrack(o, np.array([1.0]), -g, g, 0.5, CFG, mu=0.0, eps_f=0.0)
+        res = backtrack(o, np.array([1.0]), np.array([-1.0]), -1.0, 0.5, mu=0.0, eps_f=0.0)
         assert not res.took_grad_probe
         assert o.g_calls == 0
 
@@ -327,11 +309,10 @@ FREE_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
 
 @st.composite
 def search_case(draw, branch):
-    """(x, d, g, f_bar_x, values, grad, cfg, mu) that end a search through
+    """(x, d, g, f_bar_x, values, grad, mu) that end a search through
     ``branch``; ``free`` draws everything at random."""
     eps_f = draw(st.sampled_from([0.0, 1e-2]))
     mu = draw(st.sampled_from([0.0, 0.5]) | st.floats(1e-8, 1e3))
-    cfg = CFG
     f0 = draw(st.floats(-100.0, 100.0))
     x = np.array([draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))])
     g = np.array([draw(st.floats(0.01, 10.0)), draw(st.floats(-10.0, 10.0))])
@@ -356,7 +337,6 @@ def search_case(draw, branch):
         else:
             values.append(values[-1])
     elif branch == "exhausted":
-        cfg = LineSearchConfig(max_rejections=draw(st.integers(1, 12)))
         values = draw(st.lists(reject, min_size=1, max_size=4))
     elif branch in ("rescale accepted", "rescale refused"):
         # d'g_try = 3 ||d|| > 0.5 ||d|| ||g_try||, and d'g < 0: the secant
@@ -373,9 +353,9 @@ def search_case(draw, branch):
         f0 = 0.0
         first = draw(reject)
         gtd = float(g.dot(d))
-        alpha = reference._interpolate(1.0, f0, gtd, first, cfg)
+        alpha = reference._interpolate(1.0, f0, gtd, first)
         # |threshold| < 1, so the slack is 2 eps_f / (1 - eps_f) exactly.
-        values = [first, f0 + cfg.c * alpha * gtd + reference.compute_delta(eps_f, f0, 0.0)]
+        values = [first, f0 + ARMIJO_C * alpha * gtd + reference.compute_delta(eps_f, f0, 0.0)]
     elif branch == "overflowing slope":
         # g'd overflows to -inf: every fit is NaN and falls back to alpha / 2.
         x, g, d = np.array([0.0, 1.0]), np.array([1e200, 0.0]), np.array([-1e200, 0.0])
@@ -387,8 +367,7 @@ def search_case(draw, branch):
         d = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
         values = draw(st.lists(FREE_VALUES, min_size=1, max_size=10))
         grad = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
-        cfg = LineSearchConfig(max_rejections=draw(st.integers(1, 20)))
-    return x, d, g, f0, eps_f, values, grad, cfg, mu
+    return x, d, g, f0, eps_f, values, grad, mu
 
 
 BRANCHES = {
@@ -412,14 +391,15 @@ class TestMatchesReference:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_same_result_and_oracle_calls(self, branch, data):
-        x, d, g, f0, eps_f, values, grad, cfg, mu = data.draw(search_case(branch))
+        x, d, g, f0, eps_f, values, grad, mu = data.draw(search_case(branch))
         ours, ref = ScriptedOracle(values, grad), ScriptedOracle(values, grad)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = backtrack(ours, x, d, g, f0, cfg, mu=mu, eps_f=eps_f)
+            gtd = float(g.dot(d))
+            res = backtrack(ours, x, d, gtd, f0, mu=mu, eps_f=eps_f)
             # The reference gates the rescale on a flag as well as on
             # ``mu > 0``; with the flag set it gates on ``mu`` alone, as
             # ``backtrack`` does.
-            expected = reference.backtrack(ref, x, d, g, f0, cfg, mu=mu, allow_rescale=True, eps_f=eps_f)
+            expected = reference.backtrack(ref, x, d, gtd, f0, mu=mu, allow_rescale=True, eps_f=eps_f)
         assert _fields(res, x) == _fields(expected, x)
         assert ours.calls == ref.calls
         assert BRANCHES[branch](res), branch

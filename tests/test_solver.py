@@ -155,9 +155,32 @@ def test_fresh_fk_costs_one_extra_call_per_iteration():
     assert res.status == "converged"
 
 
+def test_fresh_fk_changes_a_baseline_outcome():
+    # Why --fresh-fk is kept: re-evaluating f at each iterate rescues a
+    # noisy baseline run that otherwise spins through exhausted searches.
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=derive_oracle_seed("broyden_tridiag_n10", 0))
+    outcomes = []
+    for fresh_fk in (False, True):
+        cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=1000, variant="baseline_line", fresh_fk=fresh_fk)
+        res = solve(get_problem("broyden_tridiag_n10"), model, cfg)
+        outcomes.append((res.status, res.iterations, res.f_calls))
+    assert outcomes == [("max_iters", 1000, 31462), ("converged", 14, 34)]
+
+
 def test_ms_variant_runs_and_converges_exact():
     res = solve(get_problem("rosenbrock_n2"), NoiseModel(), exact(eps_gtol=1e-5, eps_f=2.22e-9, variant="ours_ms", k_max=2000))
     assert res.status == "converged"
+
+
+def test_ms_variant_changes_an_exact_outcome():
+    # Why the _ms rows are kept: in exact arithmetic the modified secant
+    # slows rosenbrock_n2 past a 1000-iteration cap that ours meets.
+    outcomes = []
+    for variant in ("ours", "ours_ms"):
+        cfg = exact(eps_gtol=1e-5, eps_f=2.22e-9, variant=variant, k_max=1000)
+        res = solve(get_problem("rosenbrock_n2"), NoiseModel(), cfg)
+        outcomes.append((res.status, res.iterations))
+    assert outcomes == [("converged", 267), ("max_iters", 1000)]
 
 
 def test_baseline_ms_variant():
@@ -180,6 +203,23 @@ def test_oracle_error_returns_partial_result():
     model = NoiseModel(kind="precision_cast", bits=16)
     res = solve(p, model, SolverConfig(eps_gtol=1e-8, eps_f=9.77e-2, variant="ours", k_max=50))
     assert res.status == "oracle_error"
+
+
+def test_overflowing_squared_gradient_norm_ends_in_oracle_error():
+    # A plateau that fails the gate on its second iteration, where the
+    # finite gradient has g'g = inf: mu = inf gives a NaN direction, and the
+    # objective refuses the NaN trial point; no ValueError escapes.
+    x0 = np.array([1.0, -2.0, 3.0])
+    p = ObjectiveProblem(
+        "plateau_n3", 3,
+        lambda x: 1.0 + 0.0 * float(x.sum()),
+        lambda x: np.ones(3) if x.tobytes() == x0.tobytes() else np.full(3, 1e160),
+        x0,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = solve(p, NoiseModel(), SolverConfig(eps_f=1e-2, k_max=50, variant="ours"))
+    assert res.status == "oracle_error"
+    assert (res.iterations, res.f_calls, res.g_calls) == (1, 3, 2)
 
 
 def test_timeout_status():
