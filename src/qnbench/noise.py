@@ -13,7 +13,9 @@ and gradient evaluations and counts every call. Three models are supported:
 
 Draws come from a counter-based Philox stream seeded per oracle instance,
 so identical (kind, seed, call-sequence) triples reproduce identical noisy
-values bit for bit, independent of platform. The oracle draws the stream in
+values bit for bit, independent of platform. The oracle builds that stream
+on its first uniform draw, so ``exact`` and ``precision_cast`` runs, which
+draw nothing, never import ``numpy.random``. The oracle draws the stream in
 blocks of :data:`DRAW_BLOCK` values and hands them out in call order: the
 objective and ``rank1`` gradients take one value each, ``percomp`` gradients
 take ``n``. A single sized ``uniform`` draw equals the same number of scalar
@@ -24,6 +26,7 @@ per-oracle stream, drawn call by call, would give.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -79,7 +82,11 @@ class NoiseModel:
             raise ValueError("precision_cast bits must be 64, 32 or 16")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
-        if not 0 <= int(self.seed) < 2**64:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
 
@@ -113,7 +120,8 @@ class NoisyOracle:
         self.model = model
         self.f_calls = 0
         self.g_calls = 0
-        self._rng = np.random.Generator(np.random.Philox(model.seed))
+        # Built on the first draw: exact and cast oracles never draw.
+        self._rng = None
         self._block = np.empty(0)
         self._used = 0
 
@@ -126,6 +134,8 @@ class NoisyOracle:
             return block[used:end]
         # Leftover values first, then the head of a fresh block (or of one
         # exactly as long as the rest of a larger draw).
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.Philox(self.model.seed))
         level = self.model.level
         need = end - block.size
         self._block = self._rng.uniform(-level, level, size=max(DRAW_BLOCK, need))

@@ -1,5 +1,9 @@
+import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,8 +85,9 @@ def test_identical_seed_and_call_sequence_is_bit_identical():
         (10, "percomp", "fgffgggf" * 200),
         (10_000, "percomp", "fgfggfffg"),
         (10, "rank1", "fgffgggf" * 1100),
+        (10_000, "percomp", "gffgfg"),
     ],
-    ids=["percomp_n10", "percomp_n10000", "rank1_n10"],
+    ids=["percomp_n10", "percomp_n10000", "rank1_n10", "percomp_n10000_grad_first"],
 )
 def test_buffered_draws_equal_the_raw_philox_stream(n, grad_mode, pattern):
     # At x = 0 the sphere's f and grad vanish, so the oracle returns the
@@ -159,6 +164,13 @@ def test_model_validation():
         NoiseModel(grad_mode="weird")
     with pytest.raises(ValueError):
         NoiseModel(seed=-1)
+    # Refused when the model is built, not at the first draw (which an exact
+    # run never makes).
+    for seed in (1.5, "5"):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(kind="additive_uniform", level=1e-3, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(seed=seed)
 
 
 def test_uniform_level_must_keep_its_range_finite():
@@ -170,3 +182,37 @@ def test_uniform_level_must_keep_its_range_finite():
     model = NoiseModel(kind="additive_uniform", level=sys.float_info.max / 2)
     g = NoisyOracle(get_problem("sphere_n2"), model).grad_bar(np.ones(2))
     assert np.isfinite(g).all()
+
+
+_NUMPY_RANDOM_PROBE = """
+import json, sys
+import numpy
+loaded = {"import numpy": "numpy.random" in sys.modules}
+from qnbench import NoiseModel, SolverConfig, default_eps_f, get_problem, solve
+models = {
+    "exact": NoiseModel(),
+    "cast32": NoiseModel(kind="precision_cast", bits=32),
+    "uniform": NoiseModel(kind="additive_uniform", level=1e-3),
+}
+for name, model in models.items():
+    cfg = SolverConfig(k_max=50, eps_gtol=1e-2, eps_f=default_eps_f(model))
+    solve(get_problem("sphere_n10"), model, cfg)
+    loaded[name] = "numpy.random" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_noise_free_runs_never_import_numpy_random():
+    # A fresh interpreter, as the test process itself has numpy.random loaded.
+    # The models run in this order, so a module the exact or cast run loaded
+    # would still show after it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_RANDOM_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    if loaded["import numpy"]:
+        pytest.skip("this numpy loads numpy.random on import")
+    assert loaded == {"import numpy": False, "exact": False, "cast32": False, "uniform": True}
