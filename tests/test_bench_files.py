@@ -13,10 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-BENCH_FILES = sorted(
-    (p for p in ROOT.glob("BENCH_*.json") if re.fullmatch(r"BENCH_\d+\.json", p.name)),
-    key=lambda p: int(p.stem.split("_")[1]),
-)
+BENCH_FILES = sorted(p for p in ROOT.glob("BENCH_*.json") if re.fullmatch(r"BENCH_\d+\.json", p.name))
 
 
 def test_there_is_a_trajectory():
