@@ -36,6 +36,9 @@ INF = math.inf
 # and would silently alias seeds outside it (-1 and 2**63 - 1, for one).
 SEED_LIMIT = 2**63
 
+# What ``oracle_calls`` counts (see record_from_result); the first is the default.
+METRICS = ("both", "f_only")
+
 
 @dataclass
 class RunRecord:
@@ -125,15 +128,15 @@ def _plan(
     noise: NoiseModel,
     eps_gtol: float,
     seeds: Iterable[int],
-    parallelism: int = 1,
+    parallelism: int,
     *,
-    eps_f: float | str = "auto",
-    base_cfg: Optional[SolverConfig] = None,
-    metric: str = "both",
+    eps_f: float | str,
+    base_cfg: Optional[SolverConfig],
+    metric: str,
 ) -> list[tuple]:
     """Every refusal :func:`run_matrix` makes, and its task list.
 
-    Takes :func:`run_matrix`'s arguments but the trace ones and raises what
+    Takes :func:`run_matrix`'s arguments but ``keep_traces`` and raises what
     it raises before any run. Returns one ``(problem, solver, seed, oracle
     model, config)`` task per triple, in matrix order.
     """
@@ -153,8 +156,8 @@ def _plan(
             raise ValueError(f"seed {seed} outside [0, 2**63)")
     for name in suite:
         get_problem(name)
-    if metric not in ("both", "f_only"):
-        raise ValueError("metric must be 'both' or 'f_only'")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     eps_f_val = default_eps_f(noise) if eps_f == "auto" else float(eps_f)
     cfg0 = base_cfg if base_cfg is not None else SolverConfig()
     cfgs = [replace(cfg0, variant=s, eps_gtol=eps_gtol, eps_f=eps_f_val) for s in solvers]
@@ -176,20 +179,19 @@ def run_matrix(
     *,
     eps_f: float | str = "auto",
     base_cfg: Optional[SolverConfig] = None,
-    metric: str = "both",
+    metric: str = METRICS[0],
     keep_traces: bool = False,
-    trace_dir: Optional[str] = None,
 ):
     """Execute every (problem, solver, seed) triple of the matrix.
 
     Returns the canonically sorted list of :class:`RunRecord`; with
     ``keep_traces`` a dict mapping (problem, solver, seed) to the iteration
-    trace is returned alongside. ``eps_f="auto"`` resolves to the model's
-    default error rate. Every task runs ``base_cfg`` (``SolverConfig()`` when
-    omitted) with its ``eps_gtol``, ``eps_f`` and ``variant`` replaced by
-    this call's ``eps_gtol``, resolved ``eps_f`` and the task's solver name.
-    ``metric`` picks what ``oracle_calls`` counts (see
-    :func:`record_from_result`).
+    trace is returned alongside. No file is written. ``eps_f="auto"``
+    resolves to the model's default error rate. Every task runs ``base_cfg``
+    (``SolverConfig()`` when omitted) with its ``eps_gtol``, ``eps_f`` and
+    ``variant`` replaced by this call's ``eps_gtol``, resolved ``eps_f`` and
+    the task's solver name. ``metric`` picks what ``oracle_calls`` counts
+    (see :func:`record_from_result`).
 
     These fail before any run, with a ``ValueError`` unless noted:
 
@@ -197,14 +199,14 @@ def run_matrix(
     - an empty or repeating problem, solver or seed list;
     - a seed outside ``[0, SEED_LIMIT)``;
     - an unknown problem name (``KeyError``);
-    - a ``metric`` other than ``both`` or ``f_only``;
+    - a ``metric`` not in ``METRICS``;
     - a setting ``SolverConfig`` refuses, such as an unknown solver name or
       an ``eps_gtol`` or ``eps_f`` out of range.
 
     An exception raised during a run propagates unchanged.
     """
     tasks = _plan(suite, solvers, noise, eps_gtol, seeds, parallelism, eps_f=eps_f, base_cfg=base_cfg, metric=metric)
-    execute = partial(_execute, metric=metric, keep_trace=keep_traces or trace_dir is not None)
+    execute = partial(_execute, metric=metric, keep_trace=keep_traces)
     if parallelism > 1:
         # Imported here: the process pool pulls in multiprocessing and socket,
         # which a serial run never needs.
@@ -217,13 +219,6 @@ def run_matrix(
 
     outcomes.sort(key=lambda rt: (rt[0].problem, rt[0].solver, rt[0].seed))
     records = [r for r, _ in outcomes]
-
-    if trace_dir is not None:
-        out = Path(trace_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for record, trace in outcomes:
-            write_trace_csv(trace, out / f"{record.problem}__{record.solver}__seed{record.seed}.csv")
-
     if keep_traces:
         traces = {(r.problem, r.solver, r.seed): t for r, t in outcomes}
         return records, traces
@@ -247,35 +242,21 @@ def aggregate_seeds(records: Sequence[RunRecord]) -> dict[tuple[str, str], float
     return agg
 
 
-def performance_profile(
-    records: Sequence[RunRecord], solvers: Optional[Sequence[str]] = None
-) -> list[ProfileCurve]:
-    """Profile curves over the problems where at least one solver succeeded.
+def performance_profile(records: Sequence[RunRecord]) -> list[ProfileCurve]:
+    """One profile curve per solver in ``records``, in the order the solvers
+    first appear, over the problems where at least one solver succeeded.
 
     Curves are sampled at tau = 1 and at every distinct finite ratio; failed
-    runs have infinite ratio and never enter any curve value. An empty
-    ``solvers`` list, or one naming a solver without records, raises
-    ``ValueError``.
+    runs have infinite ratio and never enter any curve value. To profile
+    fewer solvers, pass only their records.
     """
-    return _profile(records, solvers)[0]
+    return _profile(records)[0]
 
 
-def _profile(
-    records: Sequence[RunRecord], solvers: Optional[Sequence[str]] = None
-) -> tuple[list[ProfileCurve], list[str], list[str]]:
+def _profile(records: Sequence[RunRecord]) -> tuple[list[ProfileCurve], list[str], list[str]]:
     """:func:`performance_profile` with the counted and dropped problems of
-    the one seed aggregation it runs. ``solvers`` defaults to the names in
-    the order they first appear in ``records``.
-    """
-    if solvers is None:
-        solvers = list(dict.fromkeys(r.solver for r in records))
-    elif not solvers:
-        raise ValueError("empty solver list")
-    else:
-        named = {r.solver for r in records}
-        for s in solvers:
-            if s not in named:
-                raise ValueError(f"solver {s!r} has no records")
+    the one seed aggregation it runs."""
+    solvers = list(dict.fromkeys(r.solver for r in records))
     agg = aggregate_seeds(records)
     kept, dropped = [], []
     ratios = {}  # counted problem -> ratio per solver, in solver order
@@ -359,7 +340,7 @@ def read_trace_csv(path) -> list[IterationRecord]:
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def emit_svg(curves: Sequence[ProfileCurve], path, title: str = "Performance profile") -> None:
+def emit_svg(curves: Sequence[ProfileCurve], path) -> None:
     """Self-contained log-x step plot with exactly one polyline per solver."""
     width, height = 760, 480
     ml, mr, mt, mb = 60, 170, 40, 50
@@ -382,7 +363,7 @@ def emit_svg(curves: Sequence[ProfileCurve], path, title: str = "Performance pro
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="{mt - 15}" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{ml}" y="{mt - 15}" font-family="sans-serif" font-size="15">Performance profile</text>',
         f'<line x1="{ml}" y1="{mt + plot_h}" x2="{ml + plot_w}" y2="{mt + plot_h}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + plot_h}" stroke="black"/>',
     ]

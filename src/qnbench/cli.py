@@ -1,19 +1,22 @@
 """Command-line benchmark harness.
 
 ``qnbench run`` executes a solver/problem/noise matrix and writes one CSV
-row per run; ``qnbench profile`` turns such a CSV into performance-profile
-curves (CSV and optional SVG). Outputs are plain files; nothing here is
+row per run, plus one trace CSV per run with ``--trace-dir``; ``qnbench
+profile`` turns such a CSV into performance-profile curves (CSV and optional
+SVG). The commands write every output file, and take their defaults and
+choices from the library. Outputs are plain files; nothing here is
 interactive.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import click
 
-from .bench import _plan, _profile, emit_csv, emit_svg, read_runs_csv, run_matrix
-from .noise import NoiseModel
+from .bench import METRICS, _plan, _profile, emit_csv, emit_svg, read_runs_csv, run_matrix, write_trace_csv
+from .noise import GRAD_MODES, NoiseModel
 from .problems import suite_names
 from .solver import SolverConfig
 
@@ -64,17 +67,17 @@ def main():
 @click.option("--noise", default="exact", show_default=True, help="exact | uniform:LEVEL | cast:BITS")
 @click.option("--eps-f", default="auto", show_default=True, help="Objective error rate, or 'auto' for the model default.")
 @click.option("--gtol", type=float, default=1e-2, show_default=True, help="Gradient tolerance (infinity norm).")
-@click.option("--kmax", type=int, default=15000, show_default=True, help="Iteration cap.")
+@click.option("--kmax", type=int, default=SolverConfig.k_max, show_default=True, help="Iteration cap.")
 @click.option("--seeds", default="0", show_default=True, help="Seed list: N, a,b,c or lo..hi.")
 @click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Output runs CSV.")
 @click.option("--trace-dir", type=click.Path(file_okay=False), default=None, help="Write one per-iteration trace CSV per run.")
 @click.option("--fresh-fk", is_flag=True, help="Re-evaluate the objective at each iterate instead of reusing the accepted trial value.")
-@click.option("--noise-grad-mode", type=click.Choice(["percomp", "rank1"]), default="percomp", show_default=True,
+@click.option("--noise-grad-mode", type=click.Choice(GRAD_MODES), default=NoiseModel.grad_mode, show_default=True,
               help="Uniform gradient noise per component or one shared draw.")
-@click.option("--metric", type=click.Choice(["both", "f_only"]), default="both", show_default=True,
+@click.option("--metric", type=click.Choice(METRICS), default=METRICS[0], show_default=True,
               help="Oracle-call metric: objective+gradient calls or objective calls only.")
-@click.option("--time-budget", type=float, default=600.0, show_default=True, help="Wall-clock budget per run, seconds.")
+@click.option("--time-budget", type=float, default=SolverConfig.time_budget, show_default=True, help="Wall-clock budget per run, seconds.")
 def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path, trace_dir,
                 fresh_fk, noise_grad_mode, metric, time_budget):
     """Run the benchmark matrix and write one CSV row per run."""
@@ -85,7 +88,7 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
     # Ask for run_matrix's refusals before any run, so that they are usage
     # errors while an error raised during a run still ends in a traceback.
     try:
-        cfg = SolverConfig(k_max=kmax, eps_gtol=gtol, time_budget=time_budget, fresh_fk=fresh_fk)
+        cfg = SolverConfig(k_max=kmax, time_budget=time_budget, fresh_fk=fresh_fk)
         matrix = (suite_names(suite), solver_list, model, gtol, seed_list, jobs)
         settings = dict(eps_f=eps_f, base_cfg=cfg, metric=metric)
         _plan(*matrix, **settings)
@@ -93,7 +96,13 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
         # A SolverConfig refusal starts with the field it refuses: name its option.
         option = dict(eps_gtol="--gtol", eps_f="--eps-f", k_max="--kmax", time_budget="--time-budget").get(exc.args[0].split()[0])
         raise click.UsageError(f"{option}: {exc.args[0]}" if option else exc.args[0]) from None
-    records = run_matrix(*matrix, **settings, trace_dir=trace_dir)
+    if trace_dir is None:
+        records = run_matrix(*matrix, **settings)
+    else:
+        records, traces = run_matrix(*matrix, **settings, keep_traces=True)
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
+        for (problem, solver, seed), trace in traces.items():
+            write_trace_csv(trace, Path(trace_dir, f"{problem}__{solver}__seed{seed}.csv"))
     emit_csv(records, out_path)
     total = len(records)
     for s in solver_list:

@@ -157,7 +157,7 @@ class LbfgsMemory:
     rule applied to the shifted pair seeds the regularized recursion.
     """
 
-    def __init__(self, capacity: int = 10):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity

@@ -177,7 +177,15 @@ class Trace(Sequence):
 
 @dataclass
 class SolveResult:
-    status: str  # converged | max_iters | timeout | oracle_error
+    """Outcome of one :func:`solve` run.
+
+    ``status`` is ``converged``, ``max_iters``, ``timeout`` or
+    ``oracle_error``: the oracle refused a point, or a finite gradient's
+    squared norm overflowed. An ``oracle_error`` result keeps the partial
+    trace and call counts, and leaves ``final_f_bar``/``final_g_inf`` NaN.
+    """
+
+    status: str
     x_final: Array
     trace: Trace = field(default_factory=Trace)
     f_calls: int = 0
@@ -197,7 +205,8 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     Stops when the gradient's infinity norm reaches ``cfg.eps_gtol``
     (``converged``), after ``cfg.k_max`` iterations (``max_iters``), past
     ``cfg.time_budget`` seconds (``timeout``), or when the oracle refuses a
-    point (``oracle_error``, with the partial trace).
+    point or a finite gradient's squared norm overflows (``oracle_error``,
+    with the partial trace).
     """
     regularized, use_ms = VARIANTS[cfg.variant]
     oracle = NoisyOracle(problem, noise_model)
@@ -228,6 +237,10 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 f_bar = oracle.f_bar(x)
 
             gg = float(g.dot(g))
+            if not math.isfinite(gg):
+                # A finite gradient whose g'g overflows: no shift or step
+                # can be formed from it.
+                raise OracleError("squared gradient norm overflows")
             if regularized:
                 eligible = reg.mu_zero_eligible(f_bar)
                 mu = 0.0 if eligible else reg.mu_positive(gg)
@@ -237,9 +250,9 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
 
             d = memory.direction(g, mu)
             gtd = float(g.dot(d))
-            if gtd >= 0.0:
-                # Numerically degenerate (underflow-scale gradients); the
-                # screened memory otherwise guarantees descent.
+            if not gtd < 0.0:
+                # Numerically degenerate (underflow-scale gradients, or a
+                # NaN g'd); the screened memory otherwise guarantees descent.
                 d = -g / (1.0 + mu)
                 gtd = float(g.dot(d))
 

@@ -170,41 +170,29 @@ class TestAggregation:
 class TestPerformanceProfile:
     def test_two_solver_hand_example(self):
         records = [rec("p", "A", calls=100.0), rec("p", "B", calls=200.0)]
-        curves = {c.solver: c for c in performance_profile(records, ["A", "B"])}
+        curves = {c.solver: c for c in performance_profile(records)}
         assert curves["A"].rho_at(1.0) == 1.0
         assert curves["B"].rho_at(1.0) == 0.0
         assert curves["B"].rho_at(2.0) == 1.0
 
     def test_ties_give_everyone_ratio_one(self):
         records = [rec("p1", s, calls=50.0) for s in "AB"] + [rec("p2", s, calls=70.0) for s in "AB"]
-        for c in performance_profile(records, ["A", "B"]):
+        for c in performance_profile(records):
             assert c.rho_at(1.0) == 1.0
 
     def test_all_failed_solver_is_flat_zero(self):
         records = [rec("p1", "A", calls=10.0), rec("p2", "A", calls=20.0)]
         records += [rec(p, "B", status="max_iters", calls=INF) for p in ("p1", "p2")]
-        curves = {c.solver: c for c in performance_profile(records, ["A", "B"])}
+        curves = {c.solver: c for c in performance_profile(records)}
         assert curves["B"].rho_at(1e9) == 0.0
         assert curves["A"].rho_at(1.0) == 1.0
-
-    def test_solver_list_must_be_nonempty_and_name_solvers_with_records(self, recwarn):
-        # A misspelt name is refused, not profiled as a solver that failed
-        # every problem (which also dropped every problem with a warning).
-        records = [rec("p", "A", calls=10.0)]
-        with pytest.raises(ValueError, match="solver 'B' has no records"):
-            performance_profile(records, ["B"])
-        with pytest.raises(ValueError, match="solver 'B' has no records"):
-            performance_profile(records, ["A", "B"])
-        with pytest.raises(ValueError, match="empty solver list"):
-            performance_profile(records, [])
-        assert not recwarn.list
 
     def test_problem_failed_by_all_is_dropped_with_warning(self):
         records = [rec("good", "A", calls=10.0), rec("good", "B", calls=10.0)]
         records += [rec("bad", s, status="timeout", calls=INF) for s in "AB"]
         with pytest.warns(UserWarning, match="dropped"):
-            curves = performance_profile(records, ["A", "B"])
-            _, kept, dropped = _profile(records, ["A", "B"])
+            curves = performance_profile(records)
+            _, kept, dropped = _profile(records)
         assert kept == ["good"] and dropped == ["bad"]
         for c in curves:
             assert c.rho_at(1.0) == 1.0  # |P| excludes the dropped problem
@@ -214,7 +202,7 @@ class TestPerformanceProfile:
         for i, p in enumerate(["p1", "p2", "p3"]):
             records.append(rec(p, "A", calls=100.0 + i))
             records.append(rec(p, "B", calls=130.0 + 40 * i))
-        curves = performance_profile(records, ["A", "B"])
+        curves = performance_profile(records)
         for c in curves:
             rhos = [r for _, r in c.points]
             assert all(b >= a for a, b in zip(rhos, rhos[1:]))
@@ -228,8 +216,8 @@ class TestPerformanceProfile:
         for r in scaled:
             if r.problem == "p1":
                 r.oracle_calls *= 7.0
-        c1 = performance_profile(records, ["A", "B"])
-        c2 = performance_profile(scaled, ["A", "B"])
+        c1 = performance_profile(records)
+        c2 = performance_profile(scaled)
         for a, b in zip(c1, c2):
             assert a.points == b.points
 
@@ -255,9 +243,10 @@ class TestCsv:
         assert path.read_bytes() == b"k,f_bar,g_inf,g_two,mu,alpha,delta,set,rejections,f_calls,g_calls\r\n"
 
     def test_zero_iteration_trace_is_header_only(self, tmp_path):
-        records = run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1.0, [0], trace_dir=tmp_path)
+        records, traces = run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1.0, [0], keep_traces=True)
         assert records[0].status == "converged" and records[0].iters == 0
-        path = tmp_path / "sphere_n10__ours__seed0.csv"
+        path = tmp_path / "trace.csv"
+        write_trace_csv(traces[("sphere_n10", "ours", 0)], path)
         assert path.read_bytes() == b"k,f_bar,g_inf,g_two,mu,alpha,delta,set,rejections,f_calls,g_calls\r\n"
         assert read_trace_csv(path) == []
 
@@ -284,11 +273,11 @@ class TestCsv:
     def test_trace_round_trip_bit_exact(self, tmp_path):
         _, traces = run_matrix(
             ["beale_n2"], ["ours"], NoiseModel(kind="additive_uniform", level=1e-3),
-            1e-2, [3], keep_traces=True, trace_dir=tmp_path, base_cfg=SMALL_CFG,
+            1e-2, [3], keep_traces=True, base_cfg=SMALL_CFG,
         )
         trace = traces[("beale_n2", "ours", 3)]
-        loaded = read_trace_csv(tmp_path / "beale_n2__ours__seed3.csv")
-        assert loaded == trace
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert read_trace_csv(tmp_path / "trace.csv") == trace
 
 
 class TestSvg:
@@ -384,6 +373,29 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert prof.exists() and svg.exists()
         assert "profiled" in result.output
+
+    def test_trace_dir_holds_each_runs_trace(self, tmp_path):
+        traces_dir = tmp_path / "traces"
+        runs = tmp_path / "runs.csv"
+        result = CliRunner().invoke(main, [
+            "run", "--suite", "sphere_n10,beale_n2", "--solver", "ours,baseline_line",
+            "--noise", "uniform:1e-3", "--gtol", "1e-2", "--kmax", "400", "--seeds", "0..1",
+            "--out", str(runs), "--trace-dir", str(traces_dir),
+        ])
+        assert result.exit_code == 0, result.output
+        _, traces = run_matrix(
+            ["sphere_n10", "beale_n2"], ["ours", "baseline_line"], NoiseModel(kind="additive_uniform", level=1e-3),
+            1e-2, [0, 1], keep_traces=True, base_cfg=SMALL_CFG,
+        )
+        records = read_runs_csv(runs)
+        assert len(records) == len(traces) == 8
+        names = {f"{r.problem}__{r.solver}__seed{r.seed}.csv" for r in records}
+        assert {p.name for p in traces_dir.iterdir()} == names
+        for r in records:
+            loaded = read_trace_csv(traces_dir / f"{r.problem}__{r.solver}__seed{r.seed}.csv")
+            assert loaded == traces[(r.problem, r.solver, r.seed)]
+            assert r.iters == len(loaded) > 0
+            assert (loaded[-1].f_calls, loaded[-1].g_calls) == (r.f_calls, r.g_calls)
 
     def test_unknown_problem_is_usage_error(self, tmp_path):
         runner = CliRunner()

@@ -178,8 +178,6 @@ def test_suite_resolution():
     assert set(suite_names("desk")) <= {p.name for p in registry()}
     assert suite_names("all") == [p.name for p in registry()]
     assert suite_names("sphere_n10,beale_n2") == ["sphere_n10", "beale_n2"]
-    with pytest.raises(KeyError):
-        suite_names("no_such_problem")
 
 
 def test_get_problem_unknown():

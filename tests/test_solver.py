@@ -205,21 +205,44 @@ def test_oracle_error_returns_partial_result():
     assert res.status == "oracle_error"
 
 
-def test_overflowing_squared_gradient_norm_ends_in_oracle_error():
-    # A plateau that fails the gate on its second iteration, where the
-    # finite gradient has g'g = inf: mu = inf gives a NaN direction, and the
-    # objective refuses the NaN trial point; no ValueError escapes.
+def _plateau(f):
+    # Finite gradient ones at x0 and 1e160 per entry everywhere else, where
+    # g'g overflows.
     x0 = np.array([1.0, -2.0, 3.0])
-    p = ObjectiveProblem(
-        "plateau_n3", 3,
-        lambda x: 1.0 + 0.0 * float(x.sum()),
-        lambda x: np.ones(3) if x.tobytes() == x0.tobytes() else np.full(3, 1e160),
-        x0,
-    )
+    grad = lambda x: np.ones(3) if x.tobytes() == x0.tobytes() else np.full(3, 1e160)  # noqa: E731
+    return ObjectiveProblem("plateau_n3", 3, f, grad, x0)
+
+
+def test_overflowing_squared_gradient_norm_ends_in_oracle_error():
+    # The second iteration's finite gradient has g'g = inf: the run ends
+    # there, before a direction is formed or a trial point probed, and no
+    # ValueError escapes.
+    p = _plateau(lambda x: 1.0 + 0.0 * float(x.sum()))
     with np.errstate(over="ignore", invalid="ignore"):
         res = solve(p, NoiseModel(), SolverConfig(eps_f=1e-2, k_max=50, variant="ours"))
     assert res.status == "oracle_error"
-    assert (res.iterations, res.f_calls, res.g_calls) == (1, 3, 2)
+    assert (res.iterations, res.f_calls, res.g_calls) == (1, 2, 2)
+
+
+def test_overflowing_squared_gradient_norm_ends_the_run_when_nan_points_evaluate():
+    # f = 1 everywhere, so a NaN trial point would not be refused: without
+    # the g'g check, mu = inf gives a NaN direction that is line-searched on
+    # every one of the k_max iterations.
+    p = _plateau(lambda x: 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = solve(p, NoiseModel(), SolverConfig(eps_f=1e-2, k_max=50, variant="ours"))
+    assert res.status == "oracle_error"
+    assert (res.iterations, res.f_calls, res.g_calls) == (1, 2, 2)
+    assert np.isnan(res.final_g_inf)
+
+
+def test_nan_directional_derivative_takes_the_steepest_descent_step(monkeypatch):
+    # A NaN g'd fails the descent test, so the step is -g / (1 + mu)
+    # instead of a line search along a NaN direction.
+    monkeypatch.setattr(solver_mod.LbfgsMemory, "direction", lambda self, g, mu: np.full_like(g, np.nan))
+    res = solve(get_problem("sphere_n10"), NoiseModel(), exact(eps_gtol=1e-8, variant="ours"))
+    assert res.status == "converged"
+    assert res.iterations == 1
 
 
 def test_timeout_status():
