@@ -62,6 +62,8 @@ class TestRunMatrix:
             run_matrix(["nope_n1"], ["ours"], NoiseModel(), 1e-2, [0])
         with pytest.raises(ValueError):
             run_matrix(["sphere_n10"], ["warp_drive"], NoiseModel(), 1e-2, [0])
+        with pytest.raises(ValueError, match="metric must be one of"):
+            run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0], metric="calls")
 
     def test_out_of_range_seeds_fail_before_running(self):
         # Outside [0, 2**63) derived oracle seeds alias: -1 would silently

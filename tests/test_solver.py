@@ -206,10 +206,13 @@ def test_oracle_error_returns_partial_result():
 
 
 def _plateau(f):
-    # Finite gradient ones at x0 and 1e160 per entry everywhere else, where
-    # g'g overflows.
+    # The gradient is ones at x0 and 1e160 per entry everywhere else, where
+    # it is finite but g'g overflows.
     x0 = np.array([1.0, -2.0, 3.0])
-    grad = lambda x: np.ones(3) if x.tobytes() == x0.tobytes() else np.full(3, 1e160)  # noqa: E731
+
+    def grad(x):
+        return np.ones(3) if x.tobytes() == x0.tobytes() else np.full(3, 1e160)
+
     return ObjectiveProblem("plateau_n3", 3, f, grad, x0)
 
 
