@@ -143,6 +143,10 @@ def _plan(
     if not isinstance(parallelism, int) or parallelism < 1:
         raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
     seeds = list(seeds)
+    for seed in seeds:
+        # A bool is an int, but a record would keep and write it as True.
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an int, got {seed!r}")
     for label, items in (("problem", suite), ("solver", solvers), ("seed", seeds)):
         if not items:
             raise ValueError(f"empty {label} list")
@@ -197,7 +201,8 @@ def run_matrix(
 
     - a ``parallelism`` below 1;
     - an empty or repeating problem, solver or seed list;
-    - a seed outside ``[0, SEED_LIMIT)``;
+    - a seed that is not an ``int`` (a ``bool`` included) or lies outside
+      ``[0, SEED_LIMIT)``;
     - an unknown problem name (``KeyError``);
     - a ``metric`` not in ``METRICS``;
     - a setting ``SolverConfig`` refuses, such as an unknown solver name or

@@ -31,9 +31,11 @@ Each iteration leaves one row in the run's :class:`Trace`: a scalar per
 stored :class:`IterationRecord` field, appended to that field's typed
 column. The record's fields define the columns (and the trace CSV), so a
 new field is one dataclass line plus its value in the ``_append`` call.
-Records are built only when the trace is read: a long run costs 72 bytes
-per iteration (plus array headroom), and a trace crosses a process boundary
-as one flat buffer per column.
+Records are built only when the trace is read. A float column takes 8 bytes
+per iteration; an int column starts at 1 and is copied into the next wider
+type (2, 4, then 8 bytes) when a value does not fit. A row takes 51 to 72
+bytes (about 53 on the benchmark's noisy desk runs) plus array headroom, and
+a trace crosses a process boundary as one flat buffer per column.
 """
 
 from __future__ import annotations
@@ -118,7 +120,9 @@ class IterationRecord:
 _FIELDS = [f.name for f in fields(IterationRecord)]
 _COLUMNS = tuple(name for name in _FIELDS if name not in ("k", "set_label"))
 _HINTS = get_type_hints(IterationRecord)
-_TYPECODES = tuple({int: "q", float: "d"}[_HINTS[name]] for name in _COLUMNS)
+_TYPECODES = tuple({int: "B", float: "d"}[_HINTS[name]] for name in _COLUMNS)
+# An int column that a value overflows is copied into the next wider type.
+_WIDER = {"B": "H", "H": "I", "I": "q"}
 _MU = _COLUMNS.index("mu")
 _LABEL_AT = _FIELDS.index("set_label") - 1  # among the fields after ``k``
 
@@ -127,24 +131,45 @@ class Trace(Sequence):
     """The iterations of one run, stored column-wise.
 
     A read-only sequence of :class:`IterationRecord`: each record is built
-    when it is read. Every stored field is one typed column (``array('d')``
-    for a float, ``array('q')`` for an int) holding one entry per iteration,
-    72 bytes in all today; ``k`` is the position and ``set_label`` follows
-    from ``mu``, so neither is stored. A trace equals any sequence of equal
-    records, in order.
+    when it is read. Every stored field is one typed column holding one
+    entry per iteration: ``array('d')`` for a float, and for an int
+    ``array('B')``, copied into ``'H'``, ``'I'`` and then ``'q'`` as values
+    overflow it, so a row takes 51 to 72 bytes. ``k`` is the position and
+    ``set_label`` follows from ``mu``, so neither is stored. A trace equals
+    any sequence of equal records, in order.
     """
 
     __slots__ = ("_columns",)
 
     def __init__(self):
-        self._columns = tuple(array(code) for code in _TYPECODES)
+        self._columns = [array(code) for code in _TYPECODES]
 
     def _append(self, *values) -> None:
         """Append one iteration: a value for each stored column, in field order."""
-        if len(values) != len(self._columns):
-            raise TypeError(f"a trace row has {len(self._columns)} values, got {len(values)}")
-        for column, value in zip(self._columns, values):
-            column.append(value)
+        columns = self._columns
+        if len(values) != len(columns):
+            raise TypeError(f"a trace row has {len(columns)} values, got {len(values)}")
+        for i, value in enumerate(values):
+            try:
+                columns[i].append(value)
+            except OverflowError:
+                self._widen(i, value)
+
+    def _widen(self, i: int, value) -> None:
+        """Append ``value`` to column ``i``, copied into wider types until it
+        fits. Past ``'q'``, or on a float column, the ``OverflowError`` of the
+        append propagates and the column is left as it was."""
+        column = self._columns[i]
+        while True:
+            try:
+                column.append(value)
+            except OverflowError:
+                if column.typecode not in _WIDER:
+                    raise
+                column = array(_WIDER[column.typecode], column)
+            else:
+                self._columns[i] = column
+                return
 
     def _record(self, k: int) -> IterationRecord:
         values = [column[k] for column in self._columns]

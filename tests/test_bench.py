@@ -65,12 +65,20 @@ class TestRunMatrix:
         with pytest.raises(ValueError, match="metric must be one of"):
             run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0], metric="calls")
 
-    def test_out_of_range_seeds_fail_before_running(self):
+    def test_out_of_range_seeds_fail_before_running(self, monkeypatch):
         # Outside [0, 2**63) derived oracle seeds alias: -1 would silently
-        # rerun seed 2**63 - 1.
+        # rerun seed 2**63 - 1. A bool seed would run and be written as
+        # "True", which read_runs_csv refuses.
         assert derive_oracle_seed("sphere_n10", -1) == derive_oracle_seed("sphere_n10", 2**63 - 1)
-        for bad in (-1, 2**63):
-            with pytest.raises(ValueError, match="outside"):
+
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench_mod, "_execute", no_run)
+        cases = [(-1, "outside"), (2**63, "outside")]
+        cases += [(bad, "seed must be an int") for bad in (True, False, 1.5, 2.0, "3", None)]
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
                 run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0, bad])
 
     def test_empty_or_repeated_lists_fail_before_running(self, monkeypatch):

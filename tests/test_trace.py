@@ -13,7 +13,7 @@ from qnbench.problems import get_problem
 from qnbench.solver import IterationRecord, SolverConfig, Trace, solve
 
 FLOATS = st.floats(allow_nan=False)
-COUNTS = st.integers(0, 2**62)
+COUNTS = st.integers(-(2**63), 2**63 - 1)
 ROWS = st.lists(
     st.tuples(FLOATS, FLOATS, FLOATS, st.sampled_from([0.0, -0.0, 1e-300, 2.5]) | FLOATS,
               FLOATS, FLOATS, COUNTS, COUNTS, COUNTS),
@@ -72,6 +72,27 @@ def test_inequality_both_ways(rows, data):
     assert trace != "not a trace"
 
 
+INT_FIELDS = ("rejections", "f_calls", "g_calls")
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_int_columns_widen_to_every_boundary_value(name):
+    # Each side of the 'B', 'H' and 'I' limits, a negative and the int64 maximum.
+    values = [0, 255, 256, 65535, 65536, 2**32 - 1, 2**32, -1, 2**63 - 1]
+    floats = (0.5, 1.0, 2.0, 0.0, 1.0, 0.0)
+    rows = [(*floats, *(v if f == name else 3 for f in INT_FIELDS)) for v in values]
+    trace, records = build(rows)
+    assert [trace[k] for k in range(len(trace))] == records
+    assert list(trace) == records
+    assert list(pickle.loads(pickle.dumps(trace))) == records
+    assert [getattr(r, name) for r in trace] == values
+    assert all(type(getattr(r, f)) is int for r in trace for f in INT_FIELDS)
+    # Only the overflowed column was widened.
+    assert [c.itemsize for c in trace._columns[-3:]] == [8 if f == name else 1 for f in INT_FIELDS]
+    with pytest.raises(OverflowError):
+        trace._append(*floats, *(2**63 if f == name else 3 for f in INT_FIELDS))
+
+
 def test_solver_trace_round_trips_through_pickle_and_csv(tmp_path):
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=4)
     res = solve(get_problem("ext_rosenbrock_n10"), model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300))
@@ -99,9 +120,11 @@ def test_parallel_traces_equal_serial_traces():
         assert parallel[key] == trace
 
 
-def test_trace_retains_at_most_100_bytes_per_iteration():
-    # One record object per iteration retained about 360 bytes; nine columns of
-    # 8 bytes retain 72 plus the arrays' growth headroom.
+def test_trace_retains_at_most_64_bytes_per_iteration():
+    # One record object per iteration retained about 360 bytes, and nine
+    # columns of 8 bytes about 78. Six float columns of 8 bytes and int
+    # columns of 1 (rejections) and 2 (the call totals) retain 53 plus the
+    # arrays' growth headroom, about 58 in all.
     problem = get_problem("illcond_quadratic_n10")
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=7)
     cfg = SolverConfig(eps_gtol=0.0, eps_f=1e-2, k_max=2000)
@@ -115,4 +138,4 @@ def test_trace_retains_at_most_100_bytes_per_iteration():
     finally:
         tracemalloc.stop()
     assert res.iterations == 2000
-    assert retained / res.iterations <= 100
+    assert retained / res.iterations <= 64
