@@ -31,11 +31,15 @@ Each iteration leaves one row in the run's :class:`Trace`: a scalar per
 stored :class:`IterationRecord` field, appended to that field's typed
 column. The record's fields define the columns (and the trace CSV), so a
 new field is one dataclass line plus its value in the ``_append`` call.
-Records are built only when the trace is read. A float column takes 8 bytes
-per iteration; an int column starts at 1 and is copied into the next wider
-type (2, 4, then 8 bytes) when a value does not fit. A row takes 51 to 72
-bytes (about 53 on the benchmark's noisy desk runs) plus array headroom, and
-a trace crosses a process boundary as one flat buffer per column.
+Records are built only when the trace is read. Every column starts zero
+bytes wide: while it has held only zeros (``0``, or ``+0.0``) it stores just
+its length. Its first other value copies it into an array: a float column
+then takes 8 bytes per iteration, and an int column 1, copied into the next
+wider type (2, 4, then 8 bytes) when a value does not fit. A row takes at
+most 72 bytes plus array headroom; on the benchmark's noisy desk runs it
+averages 40, because the line-search baseline never stores its zero ``mu``
+and ``delta``. A trace crosses a process boundary as one flat buffer per
+stored column and one small object per zero-width column.
 """
 
 from __future__ import annotations
@@ -127,22 +131,64 @@ _MU = _COLUMNS.index("mu")
 _LABEL_AT = _FIELDS.index("set_label") - 1  # among the fields after ``k``
 
 
+# The types of the zeros a zero-width column takes, by the typecode of the
+# array it is copied into; a ``bool`` flag stores ``False`` as ``0``.
+_ZERO_TYPES = {"B": (int, bool), "d": (float,)}
+
+
+class _Zeros:
+    """A trace column that has held only zeros: just its length.
+
+    It takes ``0`` (or ``False``) into an int column (``typecode`` ``'B'``)
+    and ``+0.0`` into a float column (``'d'``), and raises ``OverflowError``
+    on any other value, ``-0.0`` and NaN included, so that
+    :meth:`Trace._widen` copies it into an ``array`` of ``typecode``.
+    """
+
+    __slots__ = ("typecode", "_zero", "_n")
+    itemsize = 0
+
+    def __init__(self, typecode: str):
+        self.typecode = typecode
+        self._zero = array(typecode, [0])[0]
+        self._n = 0
+
+    def append(self, value) -> None:
+        if value.__class__ not in _ZERO_TYPES[self.typecode] or value != 0 or math.copysign(1.0, value) < 0.0:
+            raise OverflowError("a zero-width column holds only zeros")
+        self._n += 1
+
+    def pop(self) -> None:
+        self._n -= 1
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k: int):
+        if not -self._n <= k < self._n:
+            raise IndexError("column index out of range")
+        return self._zero
+
+
 class Trace(Sequence):
     """The iterations of one run, stored column-wise.
 
     A read-only sequence of :class:`IterationRecord`: each record is built
     when it is read. Every stored field is one typed column holding one
-    entry per iteration: ``array('d')`` for a float, and for an int
-    ``array('B')``, copied into ``'H'``, ``'I'`` and then ``'q'`` as values
-    overflow it, so a row takes 51 to 72 bytes. ``k`` is the position and
-    ``set_label`` follows from ``mu``, so neither is stored. A trace equals
-    any sequence of equal records, in order.
+    entry per iteration. It starts zero-width, a count of zeros, until its
+    first other value (``-0.0`` and NaN included) copies it into
+    ``array('d')`` for a float, and for an int into ``array('B')``, copied
+    into ``'H'``, ``'I'`` and then ``'q'`` as values overflow it; so a row
+    takes 0 to 72 bytes. A row that no column can hold raises and leaves
+    the trace as it was. ``k`` is the position and ``set_label`` follows
+    from ``mu``, so neither is stored. A trace equals any sequence of equal
+    records, in order.
     """
 
     __slots__ = ("_columns",)
 
     def __init__(self):
-        self._columns = [array(code) for code in _TYPECODES]
+        self._columns = [_Zeros(code) for code in _TYPECODES]
 
     def _append(self, *values) -> None:
         """Append one iteration: a value for each stored column, in field order."""
@@ -151,22 +197,32 @@ class Trace(Sequence):
             raise TypeError(f"a trace row has {len(columns)} values, got {len(values)}")
         for i, value in enumerate(values):
             try:
-                columns[i].append(value)
-            except OverflowError:
-                self._widen(i, value)
+                try:
+                    columns[i].append(value)
+                except OverflowError:
+                    self._widen(i, value)
+            except Exception:
+                # Take back this row's earlier values: no ragged row is left.
+                for column in columns[:i]:
+                    column.pop()
+                raise
 
     def _widen(self, i: int, value) -> None:
         """Append ``value`` to column ``i``, copied into wider types until it
-        fits. Past ``'q'``, or on a float column, the ``OverflowError`` of the
-        append propagates and the column is left as it was."""
+        fits. Past ``'q'``, or on a materialized float column, the
+        ``OverflowError`` of the append propagates and the column is left as
+        it was."""
         column = self._columns[i]
         while True:
             try:
                 column.append(value)
             except OverflowError:
-                if column.typecode not in _WIDER:
+                if isinstance(column, _Zeros):
+                    column = array(column.typecode, [0]) * len(column)
+                elif column.typecode in _WIDER:
+                    column = array(_WIDER[column.typecode], column)
+                else:
                     raise
-                column = array(_WIDER[column.typecode], column)
             else:
                 self._columns[i] = column
                 return
