@@ -1,13 +1,15 @@
 """The column-wise iteration trace behaves as a list of its records."""
 
+import math
 import pickle
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnbench.bench import run_matrix, write_trace_csv
+from qnbench.bench import read_trace_csv, run_matrix, write_trace_csv
 from qnbench.noise import NoiseModel
 from qnbench.problems import get_problem
 from qnbench.solver import IterationRecord, SolverConfig, Trace, solve
@@ -35,6 +37,11 @@ def build(rows):
     return trace, records
 
 
+def reprs(records):
+    """Each field's type and repr: unlike ``==``, tells ``-0.0`` from ``0.0``."""
+    return [[(type(v), repr(v)) for v in vars(r).values()] for r in records]
+
+
 @given(ROWS, st.integers(-15, 15), st.integers(-15, 15), st.integers(-4, 4).filter(bool))
 @settings(max_examples=200)
 def test_sequence_behaviour_matches_a_list_of_the_records(rows, start, stop, step):
@@ -42,6 +49,7 @@ def test_sequence_behaviour_matches_a_list_of_the_records(rows, start, stop, ste
     n = len(records)
     assert len(trace) == n
     assert list(trace) == records
+    assert reprs(trace) == reprs(records)
     for i in range(-n - 2, n + 2):
         if -n <= i < n:
             assert trace[i] == records[i]
@@ -57,6 +65,7 @@ def test_sequence_behaviour_matches_a_list_of_the_records(rows, start, stop, ste
     assert not (trace != records)
     assert trace == tuple(records)
     assert pickle.loads(pickle.dumps(trace)) == trace
+    assert reprs(pickle.loads(pickle.dumps(trace))) == reprs(records)
 
 
 @given(ROWS.filter(bool), st.data())
@@ -93,6 +102,59 @@ def test_int_columns_widen_to_every_boundary_value(name):
         trace._append(*floats, *(2**63 if f == name else 3 for f in INT_FIELDS))
 
 
+STORED = ("f_bar", "g_inf", "g_two", "mu", "alpha", "delta", *INT_FIELDS)
+ZERO_ROW = (0.0,) * 6 + (0,) * 3
+# A first value other than +0.0 or 0 and the item size it materializes at.
+FIRST_VALUES = [
+    *((name, value, 8) for name in ("mu", "delta") for value in (-0.0, math.nan, 5e-324, -math.inf, 1.0)),
+    *((name, value, size) for name in INT_FIELDS for value, size in ((1, 1), (256, 2), (-1, 8), (2**63 - 1, 8))),
+]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize(("name", "value", "itemsize"), FIRST_VALUES)
+def test_zero_width_column_materializes_at_its_first_other_value(name, value, itemsize, k):
+    i = STORED.index(name)
+    zeros, _ = build([ZERO_ROW] * k)
+    assert [c.itemsize for c in zeros._columns] == [0] * len(STORED)
+    rows = [ZERO_ROW] * k + [ZERO_ROW[:i] + (value,) + ZERO_ROW[i + 1:]] + [ZERO_ROW] * 2
+    trace, records = build(rows)
+    assert reprs(trace) == reprs(records)
+    assert [repr(getattr(r, name)) for r in trace] == [repr(ZERO_ROW[i])] * k + [repr(value)] + [repr(ZERO_ROW[i])] * 2
+    assert reprs(pickle.loads(pickle.dumps(trace))) == reprs(records)
+    # Only this column stores its values; the others still hold just a count.
+    assert [c.itemsize for c in trace._columns] == [itemsize if j == i else 0 for j in range(len(STORED))]
+
+
+def test_a_false_flag_keeps_an_int_column_zero_width():
+    trace, _ = build([ZERO_ROW[:6] + (False, 0, False)] * 3)
+    assert [c.itemsize for c in trace._columns] == [0] * len(STORED)
+    # Read back as an array('B') would give it: the int 0.
+    assert reprs(trace) == reprs(build([ZERO_ROW] * 3)[1])
+
+
+# A value that each stored column cannot hold, even at its widest.
+TOO_BIG = {name: 10**400 for name in STORED[:6]} | {name: 2**63 for name in INT_FIELDS}
+
+
+@pytest.mark.parametrize("error", [OverflowError, TypeError])
+@pytest.mark.parametrize("name", STORED)
+def test_a_row_that_does_not_fit_leaves_no_ragged_trace(name, error):
+    i = STORED.index(name)
+    # Zero-width mu and delta columns, materialized and widened ones beside them.
+    good = [(1.5, 2.0, 3.0, 0.0, 0.5, 0.0, 0, 300, 70000), (1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 2, 301, 70001)]
+    trace, _ = build(good[:1])
+    _, records = build(good)
+    bad = good[0][:i] + (TOO_BIG[name] if error is OverflowError else None,) + good[0][i + 1:]
+    with pytest.raises(error):
+        trace._append(*bad)
+    assert len(trace) == 1
+    assert [len(c) for c in trace._columns] == [1] * len(STORED)
+    assert reprs([trace[0]]) == reprs(records[:1])
+    trace._append(*good[1])
+    assert reprs(trace) == reprs(records)
+
+
 def test_solver_trace_round_trips_through_pickle_and_csv(tmp_path):
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=4)
     res = solve(get_problem("ext_rosenbrock_n10"), model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300))
@@ -106,6 +168,27 @@ def test_solver_trace_round_trips_through_pickle_and_csv(tmp_path):
     write_trace_csv(trace, tmp_path / "columns.csv")
     write_trace_csv(list(trace), tmp_path / "records.csv")
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def test_baseline_trace_round_trips_through_pickle_and_csv_byte_for_byte(tmp_path):
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=4)
+    cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="baseline_line")
+    trace = solve(get_problem("ext_rosenbrock_n10"), model, cfg).trace
+    # The baseline has no shift and no Armijo slack: mu and delta are never stored.
+    assert [c.itemsize for c in trace._columns] == [8, 8, 8, 0, 8, 0, 1, 2, 2]
+    back = pickle.loads(pickle.dumps(trace))
+    assert isinstance(back, Trace) and reprs(back) == reprs(trace)
+    # The same rows with every column materialized, as the columns were stored
+    # before zero-width columns.
+    stored = Trace()
+    stored._columns = [array(c.typecode, c) for c in trace._columns]
+    assert [c.itemsize for c in stored._columns] == [8, 8, 8, 8, 8, 8, 1, 2, 2]
+    for name, t in (("trace", trace), ("pickled", back), ("stored", stored), ("records", list(trace))):
+        write_trace_csv(t, tmp_path / f"{name}.csv")
+    expected = (tmp_path / "stored.csv").read_bytes()
+    for name in ("trace", "pickled", "records"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+    assert reprs(read_trace_csv(tmp_path / "trace.csv")) == reprs(trace)
 
 
 def test_parallel_traces_equal_serial_traces():
@@ -139,3 +222,22 @@ def test_trace_retains_at_most_64_bytes_per_iteration():
         tracemalloc.stop()
     assert res.iterations == 2000
     assert retained / res.iterations <= 64
+
+
+def test_baseline_trace_retains_at_most_44_bytes_per_iteration():
+    # The line-search baseline stores mu = 0 and delta = 0 on every row, so
+    # both columns stay zero-width: about 40 bytes per iteration, against 57
+    # when they took 8 bytes each.
+    problem = get_problem("illcond_quadratic_n10")
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=7)
+    cfg = SolverConfig(eps_gtol=0.0, eps_f=1e-2, k_max=2000, variant="baseline_line")
+    solve(problem, model, SolverConfig(eps_gtol=0.0, eps_f=1e-2, k_max=3, variant="baseline_line"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = solve(problem, model, cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 2000
+    assert retained / res.iterations <= 44
