@@ -27,19 +27,19 @@ the accepted trial value from iteration k is reused as ``f_bar(x_{k+1})``
 by a step rescale is reused as the next gradient whenever it was taken at
 the finally accepted point.
 
-Each iteration leaves one row in the run's :class:`Trace`: a scalar per
-stored :class:`IterationRecord` field, appended to that field's typed
-column. The record's fields define the columns (and the trace CSV), so a
-new field is one dataclass line plus its value in the ``_append`` call.
-Records are built only when the trace is read. Every column starts zero
-bytes wide: while it has held only zeros (``0``, or ``+0.0``) it stores just
-its length. Its first other value copies it into an array: a float column
-then takes 8 bytes per iteration, and an int column 1, copied into the next
-wider type (2, 4, then 8 bytes) when a value does not fit. A row takes at
-most 72 bytes plus array headroom; on the benchmark's noisy desk runs it
-averages 40, because the line-search baseline never stores its zero ``mu``
-and ``delta``. A trace crosses a process boundary as one flat buffer per
-stored column and one small object per zero-width column.
+Each iteration appends one row to the run's open columns: a scalar per
+stored :class:`IterationRecord` field, in ``array('d')`` for a float field
+and ``array('q')`` for an int one. The record's fields define the columns
+(and the trace CSV), so a new field is one dataclass line plus its value in
+the row ``solve`` appends. When the run ends, the columns become its
+:class:`Trace`, which compacts each one once: a column whose bytes are all
+zero (only ``0``, or only ``+0.0``) keeps just its length, an int column
+goes into the narrowest of 1, 2, 4 and 8 bytes that holds its values, and
+a float column keeps 8 bytes per iteration. A row takes at most 72 bytes;
+on the benchmark's noisy desk runs it averages 40, because the line-search
+baseline never stores its zero ``mu`` and ``delta``. Records are built only
+when the trace is read. A trace crosses a process boundary as one flat
+buffer per stored column and one small object per zero-width column.
 """
 
 from __future__ import annotations
@@ -124,42 +124,31 @@ class IterationRecord:
 _FIELDS = [f.name for f in fields(IterationRecord)]
 _COLUMNS = tuple(name for name in _FIELDS if name not in ("k", "set_label"))
 _HINTS = get_type_hints(IterationRecord)
-_TYPECODES = tuple({int: "B", float: "d"}[_HINTS[name]] for name in _COLUMNS)
-# An int column that a value overflows is copied into the next wider type.
-_WIDER = {"B": "H", "H": "I", "I": "q"}
+# The typecode of each open column, which ``solve`` appends to.
+_TYPECODES = tuple({int: "q", float: "d"}[_HINTS[name]] for name in _COLUMNS)
 _MU = _COLUMNS.index("mu")
 _LABEL_AT = _FIELDS.index("set_label") - 1  # among the fields after ``k``
 
 
-# The types of the zeros a zero-width column takes, by the typecode of the
-# array it is copied into; a ``bool`` flag stores ``False`` as ``0``.
-_ZERO_TYPES = {"B": (int, bool), "d": (float,)}
+def _open_columns() -> list[array]:
+    """One empty column per stored field, for ``solve`` to append a run to."""
+    return [array(code) for code in _TYPECODES]
 
 
 class _Zeros:
-    """A trace column that has held only zeros: just its length.
+    """A trace column whose every byte was zero: just its length.
 
-    It takes ``0`` (or ``False``) into an int column (``typecode`` ``'B'``)
-    and ``+0.0`` into a float column (``'d'``), and raises ``OverflowError``
-    on any other value, ``-0.0`` and NaN included, so that
-    :meth:`Trace._widen` copies it into an ``array`` of ``typecode``.
+    Reads give back the zero of ``typecode``: ``0`` for ``'B'`` and ``0.0``
+    (``+0.0``) for ``'d'``.
     """
 
     __slots__ = ("typecode", "_zero", "_n")
     itemsize = 0
 
-    def __init__(self, typecode: str):
+    def __init__(self, typecode: str, n: int):
         self.typecode = typecode
         self._zero = array(typecode, [0])[0]
-        self._n = 0
-
-    def append(self, value) -> None:
-        if value.__class__ not in _ZERO_TYPES[self.typecode] or value != 0 or math.copysign(1.0, value) < 0.0:
-            raise OverflowError("a zero-width column holds only zeros")
-        self._n += 1
-
-    def pop(self) -> None:
-        self._n -= 1
+        self._n = n
 
     def __len__(self) -> int:
         return self._n
@@ -170,62 +159,45 @@ class _Zeros:
         return self._zero
 
 
+def _compact(column: array):
+    """The stored form of an open column.
+
+    A column whose bytes are all zero keeps only its length (``-0.0`` and
+    NaN have nonzero bytes, so they are stored); an int column goes into the
+    narrowest of ``'B'``, ``'H'``, ``'I'`` and ``'q'`` that holds all its
+    values; a float column is kept as it is.
+    """
+    if column.tobytes().count(0) == len(column) * column.itemsize:
+        return _Zeros("B" if column.typecode == "q" else column.typecode, len(column))
+    if column.typecode == "q":
+        for code in "BHI":
+            try:
+                return array(code, column)
+            except OverflowError:
+                pass
+    return column
+
+
 class Trace(Sequence):
     """The iterations of one run, stored column-wise.
 
     A read-only sequence of :class:`IterationRecord`: each record is built
-    when it is read. Every stored field is one typed column holding one
-    entry per iteration. It starts zero-width, a count of zeros, until its
-    first other value (``-0.0`` and NaN included) copies it into
-    ``array('d')`` for a float, and for an int into ``array('B')``, copied
-    into ``'H'``, ``'I'`` and then ``'q'`` as values overflow it; so a row
-    takes 0 to 72 bytes. A row that no column can hold raises and leaves
-    the trace as it was. ``k`` is the position and ``set_label`` follows
-    from ``mu``, so neither is stored. A trace equals any sequence of equal
-    records, in order.
+    when it is read. It is built once, when the run ends, from one open
+    column per stored field (``array('d')`` for a float, ``array('q')`` for
+    an int), all of one length. A column whose bytes are all zero (only
+    ``+0.0``, or only ``0``) keeps just its length; an int column is copied
+    into the narrowest of ``'B'``, ``'H'``, ``'I'`` and ``'q'`` that holds
+    it; so a row takes 0 to 72 bytes. ``k`` is the position and
+    ``set_label`` follows from ``mu``, so neither is stored. A trace equals
+    any sequence of equal records, in order.
     """
 
     __slots__ = ("_columns",)
 
-    def __init__(self):
-        self._columns = [_Zeros(code) for code in _TYPECODES]
-
-    def _append(self, *values) -> None:
-        """Append one iteration: a value for each stored column, in field order."""
-        columns = self._columns
-        if len(values) != len(columns):
-            raise TypeError(f"a trace row has {len(columns)} values, got {len(values)}")
-        for i, value in enumerate(values):
-            try:
-                try:
-                    columns[i].append(value)
-                except OverflowError:
-                    self._widen(i, value)
-            except Exception:
-                # Take back this row's earlier values: no ragged row is left.
-                for column in columns[:i]:
-                    column.pop()
-                raise
-
-    def _widen(self, i: int, value) -> None:
-        """Append ``value`` to column ``i``, copied into wider types until it
-        fits. Past ``'q'``, or on a materialized float column, the
-        ``OverflowError`` of the append propagates and the column is left as
-        it was."""
-        column = self._columns[i]
-        while True:
-            try:
-                column.append(value)
-            except OverflowError:
-                if isinstance(column, _Zeros):
-                    column = array(column.typecode, [0]) * len(column)
-                elif column.typecode in _WIDER:
-                    column = array(_WIDER[column.typecode], column)
-                else:
-                    raise
-            else:
-                self._columns[i] = column
-                return
+    def __init__(self, columns):
+        if len(columns) != len(_TYPECODES) or len({len(c) for c in columns}) != 1:
+            raise ValueError(f"a trace takes {len(_TYPECODES)} columns of one length")
+        self._columns = [_compact(column) for column in columns]
 
     def _record(self, k: int) -> IterationRecord:
         values = [column[k] for column in self._columns]
@@ -268,7 +240,7 @@ class SolveResult:
 
     status: str
     x_final: Array
-    trace: Trace = field(default_factory=Trace)
+    trace: Trace = field(default_factory=lambda: Trace(_open_columns()))
     f_calls: int = 0
     g_calls: int = 0
     final_f_bar: float = np.nan
@@ -295,7 +267,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     ls_eps_f = cfg.eps_f if regularized else 0.0
 
     x = np.array(problem.x0, dtype=float)
-    trace = Trace()
+    columns = _open_columns()
     discarded = 0
     status = "max_iters"
     t_start = time.perf_counter()
@@ -359,25 +331,20 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 if pair is not None:
                     memory.push(pair)
 
-            trace._append(
+            row = (
                 f_bar, g_inf, math.sqrt(gg), mu, res.alpha, res.delta,
                 res.rejections, oracle.f_calls, oracle.g_calls,
             )
+            for column, value in zip(columns, row):
+                column.append(value)
             x, g, f_bar = x_new, g_new, res.f_bar_new
     except OracleError:
         status = "oracle_error"
-        return SolveResult(
-            status, x, trace, oracle.f_calls, oracle.g_calls,
-            discarded_grad_probes=discarded,
-        )
+        f_bar = g_inf = math.nan
+    else:
+        g_inf = float(np.abs(g).max())
 
     return SolveResult(
-        status=status,
-        x_final=x,
-        trace=trace,
-        f_calls=oracle.f_calls,
-        g_calls=oracle.g_calls,
-        final_f_bar=f_bar,
-        final_g_inf=float(np.abs(g).max()),
-        discarded_grad_probes=discarded,
+        status, x, Trace(columns), oracle.f_calls, oracle.g_calls,
+        final_f_bar=f_bar, final_g_inf=g_inf, discarded_grad_probes=discarded,
     )
