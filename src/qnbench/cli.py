@@ -30,7 +30,7 @@ def parse_seeds(spec: str) -> list[int]:
             return list(range(int(lo), int(hi) + 1))
         return [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
-        raise click.BadParameter(f"{spec!r} is not N, a,b,c or lo..hi") from None
+        raise click.BadParameter(f"{spec!r} is not N, a,b,c or lo..hi", param_hint="--seeds") from None
 
 
 def parse_noise(spec: str, grad_mode: str) -> NoiseModel:
@@ -93,8 +93,10 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
         settings = dict(eps_f=eps_f, base_cfg=cfg, metric=metric)
         _plan(*matrix, **settings)
     except (ValueError, KeyError) as exc:
-        # A SolverConfig refusal starts with the field it refuses: name its option.
-        option = dict(eps_gtol="--gtol", eps_f="--eps-f", k_max="--kmax", time_budget="--time-budget").get(exc.args[0].split()[0])
+        # A refusal names the field or the list it refuses: name its option.
+        options = dict(eps_gtol="--gtol", eps_f="--eps-f", k_max="--kmax", time_budget="--time-budget", variant="--solver",
+                       solver="--solver", parallelism="--jobs", seed="--seeds", problem="--suite")
+        option = next((options[word] for word in exc.args[0].split() if word in options), None)
         raise click.UsageError(f"{option}: {exc.args[0]}" if option else exc.args[0]) from None
     if trace_dir is None:
         records = run_matrix(*matrix, **settings)

@@ -9,8 +9,10 @@ recursion into an (approximate) solve with the shifted matrix.
 Positive definiteness is enforced without Wolfe conditions: raw gradient
 differences are first damped toward ``gamma * s`` (Powell's rule with the
 scalar surrogate ``gamma * I``) and then screened against two curvature
-bounds before being admitted to memory. :func:`screen_pair` hands back the
-admitted pair with the inner products it computed, so each is computed once.
+bounds, the module constants :data:`SCREEN_MIN_CURV` and
+:data:`SCREEN_MAX_CURV`, before being admitted to memory. :func:`screen_pair`
+hands back the admitted pair with the inner products it computed, so each is
+computed once.
 
 Storage. :class:`LbfgsMemory` keeps the pairs as rows of two preallocated
 ``(capacity, n)`` arrays ``S`` and ``Y`` used as a ring: a slot list orders
@@ -44,8 +46,9 @@ Array = np.ndarray
 # Powell damping constant: admitted pairs satisfy y's >= SIGMA_DAMP*gamma*||s||^2.
 SIGMA_DAMP = 0.2
 
-# Curvature screen defaults. Permissive in production; tests tighten them to
-# make the BFGS spectral bounds numerically meaningful.
+# Curvature screen bounds, read by screen_pair at each call. They are loose
+# enough that only degenerate pairs fail; a test that checks the BFGS spectral
+# bounds patches tighter ones in.
 SCREEN_MIN_CURV = 1e-10
 SCREEN_MAX_CURV = 1e10
 
@@ -59,12 +62,6 @@ class CurvaturePair:
     sy: float  # y_bar' s
     yy: float  # ||y_bar||^2
     ss: float  # ||s||^2
-
-    @classmethod
-    def from_vectors(cls, s: Array, y_bar: Array) -> "CurvaturePair":
-        s = np.asarray(s, dtype=float)
-        y_bar = np.asarray(y_bar, dtype=float)
-        return cls(s, y_bar, float(y_bar.dot(s)), float(y_bar.dot(y_bar)), float(s.dot(s)))
 
 
 def powell_damp(s: Array, y: Array, gamma: float) -> Array:
@@ -90,20 +87,15 @@ def powell_damp(s: Array, y: Array, gamma: float) -> Array:
     return theta * y + (1.0 - theta) * gamma * s
 
 
-def screen_pair(
-    s: Array,
-    y_bar: Array,
-    min_curv: float = SCREEN_MIN_CURV,
-    max_curv: float = SCREEN_MAX_CURV,
-) -> CurvaturePair | None:
+def screen_pair(s: Array, y_bar: Array) -> CurvaturePair | None:
     """Return the admitted pair if both curvature bounds hold, else ``None``.
 
-    The admitted region is ``y's >= min_curv * ||s||^2`` and
-    ``y's >= ||y||^2 / max_curv`` with ``s != 0`` and the entries and the
-    three inner products finite; pairs inside it keep the resulting BFGS
-    matrix uniformly bounded. The returned :class:`CurvaturePair` refers to ``s`` and ``y_bar`` as given
-    and carries the ``sy``, ``yy`` and ``ss`` computed here, equal to those
-    of :meth:`CurvaturePair.from_vectors`.
+    The admitted region is ``y's >= SCREEN_MIN_CURV * ||s||^2`` and
+    ``y's >= ||y||^2 / SCREEN_MAX_CURV`` with ``s != 0`` and the entries and
+    the three inner products finite; pairs inside it keep the resulting BFGS
+    matrix uniformly bounded. The returned :class:`CurvaturePair` refers to
+    ``s`` and ``y_bar`` as given and carries the ``sy``, ``yy`` and ``ss``
+    computed here: ``y_bar.dot(s)``, ``y_bar.dot(y_bar)`` and ``s.dot(s)``.
     """
     s = np.asarray(s, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
@@ -119,7 +111,7 @@ def screen_pair(
     # both sides, then 1/sy overflows inside the recursion.
     if not (math.isfinite(sy) and sy > 0.0 and math.isfinite(1.0 / sy)):
         return None
-    if sy >= min_curv * ss and sy >= yy / max_curv:
+    if sy >= SCREEN_MIN_CURV * ss and sy >= yy / SCREEN_MAX_CURV:
         return CurvaturePair(s, y_bar, sy, yy, ss)
     return None
 
@@ -152,9 +144,10 @@ class LbfgsMemory:
 
     Pairs live in rows of preallocated ``(capacity, n)`` arrays, allocated
     by the first :meth:`push`, which fixes ``n``; a pair of another length
-    is refused. ``pairs`` returns copies, oldest first. ``gamma`` is always
-    ``||y||^2 / y's`` of the *oldest* stored pair (1.0 when empty); the same
-    rule applied to the shifted pair seeds the regularized recursion.
+    is refused. The pairs are read only through :meth:`direction`,
+    :attr:`gamma` and ``len``. ``gamma`` is always ``||y||^2 / y's`` of the
+    *oldest* stored pair (1.0 when empty); the same rule applied to the
+    shifted pair seeds the regularized recursion.
     """
 
     def __init__(self, capacity: int):
@@ -170,13 +163,6 @@ class LbfgsMemory:
 
     def __len__(self) -> int:
         return len(self._order)
-
-    @property
-    def pairs(self) -> list[CurvaturePair]:
-        return [
-            CurvaturePair(self._s[i].copy(), self._y[i].copy(), self._sy[i], self._yy[i], self._ss[i])
-            for i in self._order
-        ]
 
     @property
     def gamma(self) -> float:

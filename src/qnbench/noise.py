@@ -29,7 +29,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -100,12 +99,13 @@ def default_eps_f(model: NoiseModel) -> float:
 
 
 class OracleError(RuntimeError):
-    """A noisy evaluation produced a non-finite value."""
+    """A point a run cannot go on from; ``solve`` ends the run ``oracle_error``.
 
-    def __init__(self, message: str, x: Optional[Array] = None, kind: Optional[str] = None):
-        super().__init__(message)
-        self.x = x
-        self.kind = kind
+    The oracle raises it for a non-finite value or gradient, naming the
+    noise model kind, and for an input outside the cast format's range,
+    naming the width; ``solve`` raises it for a finite gradient whose
+    squared norm overflows. The message is all it carries.
+    """
 
 
 class NoisyOracle:
@@ -150,9 +150,7 @@ class NoisyOracle:
         with np.errstate(over="ignore"):
             rounded = x.astype(target).astype(np.float64)
         if not np.all(np.isfinite(rounded)):
-            raise OracleError(
-                f"input overflows binary{bits} range", x=x, kind=self.model.kind
-            )
+            raise OracleError(f"input overflows binary{bits} range")
         return rounded
 
     def f_bar(self, x: Array) -> float:
@@ -175,7 +173,7 @@ class NoisyOracle:
         else:
             val = self.problem.f(self._cast_input(x))
         if not math.isfinite(val):
-            raise OracleError(f"non-finite objective under {kind} model", x=x, kind=kind)
+            raise OracleError(f"non-finite objective under {kind} model")
         return float(val)
 
     def grad_bar(self, x: Array) -> Array:
@@ -194,5 +192,5 @@ class NoisyOracle:
         else:
             g = self.problem.grad(self._cast_input(x))
         if not np.isfinite(g).all():
-            raise OracleError(f"non-finite gradient under {kind} model", x=x, kind=kind)
+            raise OracleError(f"non-finite gradient under {kind} model")
         return np.asarray(g, dtype=float)

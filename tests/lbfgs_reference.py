@@ -1,8 +1,12 @@
 """Reference forms of the L-BFGS memory, for tests only.
 
-Nothing here shares code with :mod:`qnbench.lbfgs`; what reads a memory
-reads it through its public ``pairs`` (copies, oldest first):
+Nothing here shares code with :mod:`qnbench.lbfgs` but the
+:class:`~qnbench.lbfgs.CurvaturePair` record that ``LbfgsMemory.push``
+takes. A memory is never read back: each form takes the list of pairs a test
+pushed, oldest first, and a memory of capacity ``m`` holds the last ``m``:
 
+- :func:`curvature_pair` builds a pair with its inner products, as
+  ``screen_pair`` returns it;
 - :func:`screen_reference` is the curvature screen as a plain yes/no test;
 - :func:`two_loop_reference` is the two-loop recursion over one vector per
   pair, the form ``LbfgsMemory.direction`` must reproduce bit for bit;
@@ -14,6 +18,15 @@ reads it through its public ``pairs`` (copies, oldest first):
 from __future__ import annotations
 
 import numpy as np
+
+from qnbench.lbfgs import CurvaturePair
+
+
+def curvature_pair(s, y_bar) -> CurvaturePair:
+    """The pair ``(s, y_bar)`` with its ``y_bar's``, ``||y_bar||^2`` and ``||s||^2``."""
+    s = np.asarray(s, dtype=float)
+    y_bar = np.asarray(y_bar, dtype=float)
+    return CurvaturePair(s, y_bar, float(y_bar.dot(s)), float(y_bar.dot(y_bar)), float(s.dot(s)))
 
 
 def screen_reference(s, y_bar, min_curv: float = 1e-10, max_curv: float = 1e10) -> bool:
@@ -73,15 +86,15 @@ def two_loop_reference(pairs, g, mu: float = 0.0) -> np.ndarray:
     return -r
 
 
-def materialize(memory, mu: float, n: int) -> np.ndarray:
-    """Dense shifted BFGS matrix of ``memory``, built by rank-two updates.
+def materialize(pairs, mu: float, n: int) -> np.ndarray:
+    """Dense shifted BFGS matrix of ``pairs``, built by rank-two updates.
 
-    Limited to ``n <= 50``; ``memory.direction(g, mu)`` must agree with
-    ``-inv(materialize(memory, mu, n)) @ g``.
+    Limited to ``n <= 50``; the direction of a memory holding ``pairs``,
+    ``memory.direction(g, mu)``, must agree with
+    ``-inv(materialize(pairs, mu, n)) @ g``.
     """
     if n > 50:
         raise ValueError("materialize is a test oracle, n <= 50 only")
-    pairs = memory.pairs
     if not pairs:
         return (1.0 + mu) * np.eye(n)
     b = shifted_gamma(pairs, mu) * np.eye(n)

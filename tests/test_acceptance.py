@@ -8,14 +8,16 @@ session and shared by the criteria that inspect its records and traces.
 import math
 import statistics
 import time
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+import qnbench.lbfgs as lbfgs_mod
 from lbfgs_reference import bfgs_spectral_bounds, materialize
 from linesearch_reference import compute_delta
 from qnbench.bench import aggregate_seeds, performance_profile, run_matrix
-from qnbench.lbfgs import CurvaturePair, LbfgsMemory, screen_pair
+from qnbench.lbfgs import LbfgsMemory, screen_pair
 from qnbench.linesearch import ARMIJO_C, BETA_MAX, BETA_MIN
 from qnbench.noise import CAST_EPS_F, UNIFORM_EPS_F, NoiseModel, default_eps_f
 from qnbench.problems import DESK_SUITE, get_problem
@@ -186,21 +188,24 @@ def test_criterion_5_spectral_bounds():
     lam, big = 0.5, 2.0
     rng = np.random.default_rng(20240501)
     violations = 0
-    for _ in range(200):
-        n = 10
-        target = int(rng.integers(1, 11))
-        mem = LbfgsMemory(10)
-        while len(mem) < target:
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            a = (q * rng.uniform(lam, big, n)) @ q.T
-            s = rng.standard_normal(n)
-            y = a @ s
-            if screen_pair(s, y, lam, big):
-                mem.push(CurvaturePair.from_vectors(s, y))
-        m, big_m = bfgs_spectral_bounds(len(mem), lam, big)
-        ev = np.linalg.eigvalsh(materialize(mem, 0.0, n))
-        if ev.min() < m - 1e-8 or ev.max() > big_m + 1e-8:
-            violations += 1
+    # The screen with the theorem's bounds in place of the loose defaults.
+    with patch.multiple(lbfgs_mod, SCREEN_MIN_CURV=lam, SCREEN_MAX_CURV=big):
+        for _ in range(200):
+            n = 10
+            target = int(rng.integers(1, 11))
+            pairs = []
+            while len(pairs) < target:
+                q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                a = (q * rng.uniform(lam, big, n)) @ q.T
+                s = rng.standard_normal(n)
+                y = a @ s
+                pair = screen_pair(s, y)
+                if pair is not None:
+                    pairs.append(pair)
+            m, big_m = bfgs_spectral_bounds(len(pairs), lam, big)
+            ev = np.linalg.eigvalsh(materialize(pairs, 0.0, n))
+            if ev.min() < m - 1e-8 or ev.max() > big_m + 1e-8:
+                violations += 1
     wall = time.perf_counter() - t0
     check(
         5,
@@ -217,18 +222,21 @@ def test_criterion_6_two_loop_oracle_equivalence():
     for _ in range(500):
         n = int(rng.integers(2, 21))
         mem = LbfgsMemory(10)
+        pairs = []
         target = int(rng.integers(0, 11))
-        while len(mem) < target:
+        while len(pairs) < target:
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             a = (q * rng.uniform(0.05, 20.0, n)) @ q.T
             s = rng.standard_normal(n)
             y = a @ s
-            if screen_pair(s, y):
-                mem.push(CurvaturePair.from_vectors(s, y))
+            pair = screen_pair(s, y)
+            if pair is not None:
+                mem.push(pair)
+                pairs.append(pair)
         mu = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
         g = rng.standard_normal(n)
         d_fast = mem.direction(g, mu)
-        d_dense = -np.linalg.solve(materialize(mem, mu, n), g)
+        d_dense = -np.linalg.solve(materialize(pairs, mu, n), g)
         rel = float(np.linalg.norm(d_fast - d_dense)) / max(float(np.linalg.norm(d_dense)), 1e-300)
         worst = max(worst, rel)
     wall = time.perf_counter() - t0

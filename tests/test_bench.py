@@ -266,6 +266,18 @@ class TestCsv:
         emit_csv(records, path)
         assert repr(read_runs_csv(path)) == repr(records)
 
+    def test_a_file_with_another_header_is_refused(self, tmp_path):
+        runs, trace, empty = tmp_path / "runs.csv", tmp_path / "trace.csv", tmp_path / "empty.csv"
+        emit_csv([], runs)
+        write_trace_csv([], trace)
+        empty.write_text("")
+        for path in (trace, empty):
+            with pytest.raises(ValueError, match="unexpected runs header"):
+                read_runs_csv(path)
+        for path in (runs, empty):
+            with pytest.raises(ValueError, match="unexpected trace header"):
+                read_trace_csv(path)
+
     def test_infinity_sentinel_round_trips(self, tmp_path):
         records = [rec("p", "s", status="max_iters", calls=INF)]
         path = tmp_path / "runs.csv"
@@ -307,6 +319,11 @@ class TestSvg:
         path = tmp_path / "flat.svg"
         emit_svg([ProfileCurve("A", [(1.0, 0.0)])], path)
         assert path.read_text().count("<polyline") == 1
+
+
+def error_line(output):
+    """The line of a usage error that says what is wrong."""
+    return next(line for line in output.splitlines() if line.startswith("Error:"))
 
 
 class TestCli:
@@ -428,6 +445,7 @@ class TestCli:
             ("--noise", "cast:8"),
             ("--noise", "uniform:inf"),
             ("--noise", "uniform:1e308"),
+            ("--noise", "gaussian"),
             ("--kmax", "0"),
             ("--eps-f", "2"),
             ("--eps-f", "abc"),
@@ -445,11 +463,13 @@ class TestCli:
         ],
     )
     def test_bad_run_option_is_usage_error(self, tmp_path, option, value):
-        # Every bad option is refused before any run, as a usage error (exit 2).
+        # Every bad option is refused before any run, as a usage error (exit 2)
+        # that names the option.
         out = tmp_path / "r.csv"
         args = ["run", "--suite", "sphere_n10", "--kmax", "5", "--out", str(out), option, value]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
+        assert f"{option}:" in error_line(result.output)
         assert not out.exists()
 
     def test_error_during_a_run_is_not_a_usage_error(self, monkeypatch, tmp_path):
@@ -524,6 +544,7 @@ class TestBadSolverSettings:
         args = ["run", "--suite", "sphere_n10", "--kmax", "5", "--out", str(out), option, value]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
+        assert f"Error: {option}: " in result.output
         assert field in result.output
         assert not out.exists()
 

@@ -1,10 +1,21 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbfgs_reference import bfgs_spectral_bounds, materialize, screen_reference, two_loop_reference
+import qnbench.lbfgs as lbfgs_mod
+from lbfgs_reference import (
+    bfgs_spectral_bounds,
+    curvature_pair,
+    materialize,
+    screen_reference,
+    two_loop_reference,
+)
 from qnbench.lbfgs import (
+    SCREEN_MAX_CURV,
+    SCREEN_MIN_CURV,
     SIGMA_DAMP,
     CurvaturePair,
     LbfgsMemory,
@@ -14,19 +25,36 @@ from qnbench.lbfgs import (
 )
 
 
-def make_screened_memory(rng, n, npairs, lo=0.05, hi=20.0, min_curv=1e-10, max_curv=1e10):
-    """Memory filled with pairs y = A s for random SPD A with spectrum in [lo, hi]."""
+def screen_bounds(min_curv=SCREEN_MIN_CURV, max_curv=SCREEN_MAX_CURV):
+    """``screen_pair`` with other curvature bounds, inside a ``with`` block."""
+    return patch.multiple(lbfgs_mod, SCREEN_MIN_CURV=min_curv, SCREEN_MAX_CURV=max_curv)
+
+
+def make_screened_memory(rng, n, npairs, lo=0.05, hi=20.0):
+    """Memory filled with pairs y = A s for random SPD A with spectrum in
+    [lo, hi]; returns the memory and the pairs it holds, oldest first."""
     mem = LbfgsMemory(max(npairs, 1))
-    count = 0
-    while count < npairs:
+    pairs = []
+    while len(pairs) < npairs:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         a = (q * rng.uniform(lo, hi, n)) @ q.T
         s = rng.standard_normal(n)
         y = a @ s
-        if screen_pair(s, y, min_curv, max_curv):
-            mem.push(CurvaturePair.from_vectors(s, y))
-            count += 1
-    return mem
+        pair = screen_pair(s, y)
+        if pair is not None:
+            mem.push(pair)
+            pairs.append(pair)
+    return mem, pairs
+
+
+def direction_bytes(mem, g):
+    """The memory's directions at ``g``, unshifted and shifted, as bytes."""
+    return [mem.direction(g, mu).tobytes() for mu in (0.0, 0.5)]
+
+
+def reference_bytes(pairs, g):
+    """``direction_bytes`` of a memory holding ``pairs``, by the list two-loop."""
+    return [two_loop_reference(pairs, g, mu).tobytes() for mu in (0.0, 0.5)]
 
 
 def push_random_pairs(rng, mem, n, count):
@@ -110,12 +138,14 @@ class TestScreenPair:
     def test_rejects_y_exceeding_ratio(self):
         s = np.array([1.0, 0.0])
         y = np.array([1e6, 0.0])
-        assert not screen_pair(s, y, max_curv=1e4)
+        with screen_bounds(max_curv=1e4):
+            assert not screen_pair(s, y)
 
     def test_rejects_below_min_curvature(self):
         s = np.array([1.0, 0.0])
         y = np.array([1e-8, 0.0])
-        assert not screen_pair(s, y, min_curv=1e-4)
+        with screen_bounds(min_curv=1e-4):
+            assert not screen_pair(s, y)
 
     def test_rejects_zero_step_and_nonfinite(self):
         assert not screen_pair(np.zeros(2), np.ones(2))
@@ -141,7 +171,8 @@ class TestScreenPair:
         ],
     )
     def test_rejection_is_none(self, s, y, kw):
-        assert screen_pair(np.array(s), np.array(y), **kw) is None
+        with screen_bounds(**kw):
+            assert screen_pair(np.array(s), np.array(y)) is None
 
     @pytest.mark.parametrize(
         "s, y",
@@ -180,15 +211,16 @@ class TestScreenPair:
     )
     @settings(max_examples=300)
     def test_admits_what_the_boolean_screen_admits(self, s_vals, y_vals, bounds):
-        # The returned pair carries exactly the inner products from_vectors
+        # The returned pair carries exactly the inner products curvature_pair
         # computes, so the solver can push it without recomputing them.
         n = min(len(s_vals), len(y_vals))
         s = np.array(s_vals[:n])
         y = np.array(y_vals[:n]) if len(y_vals) % 2 else np.array(s_vals[:n]) * 1.5
-        pair = screen_pair(s, y, *bounds)
+        with screen_bounds(*bounds):
+            pair = screen_pair(s, y)
         assert (pair is not None) == screen_reference(s, y, *bounds)
         if pair is not None:
-            ref = CurvaturePair.from_vectors(s, y)
+            ref = curvature_pair(s, y)
             assert (pair.sy, pair.yy, pair.ss) == (ref.sy, ref.yy, ref.ss)
             assert pair.s is s and pair.y_bar is y
 
@@ -198,62 +230,74 @@ class TestMemory:
         mem = LbfgsMemory(10)
         s = np.array([1.0, 0.0])
         y = np.array([2.0, 0.0])  # sy = 2, yy = 4
-        mem.push(CurvaturePair.from_vectors(s, y))
+        mem.push(curvature_pair(s, y))
         assert mem.gamma == pytest.approx(2.0)
 
     def test_gamma_is_one_for_s_equals_y(self):
         mem = LbfgsMemory(10)
         v = np.array([3.0, 4.0])
-        mem.push(CurvaturePair.from_vectors(v, v))
+        mem.push(curvature_pair(v, v))
         assert mem.gamma == pytest.approx(1.0)
 
     def test_gamma_empty(self):
         assert LbfgsMemory(10).gamma == 1.0
+        assert LbfgsMemory(3).shifted_gamma(0.5) == 1.5
 
     def test_ring_eviction_keeps_capacity_and_rescales(self):
         mem = LbfgsMemory(3)
+        pushed = []
         for k in range(1, 6):
-            v = np.array([float(k), 0.0])
-            mem.push(CurvaturePair.from_vectors(v, 2.0 * v))
+            v = np.array([float(k), 1.0])
+            pushed.append(curvature_pair(v, float(k + 1) * v))
+            mem.push(pushed[-1])
         assert len(mem) == 3
-        # oldest surviving pair is k=3: yy/sy = (2k)^2 / (2k^2) = 2
-        assert mem.gamma == pytest.approx(2.0)
-        assert [p.s[0] for p in mem.pairs] == [3.0, 4.0, 5.0]
+        # oldest surviving pair is k=3: yy/sy = (k+1)^2 ||v||^2 / ((k+1) ||v||^2) = 4
+        assert mem.gamma == pytest.approx(4.0)
+        g = np.array([1.0, -2.0])
+        assert direction_bytes(mem, g) == reference_bytes(pushed[-3:], g)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             LbfgsMemory(0)
 
     def test_pairs_survive_wraparound_pushes(self):
+        # The memory holds the newest three pushes, oldest first, and the
+        # pairs a caller pushed keep their values while their slots are reused.
         rng = np.random.default_rng(5)
         mem = LbfgsMemory(3)
+        g = rng.standard_normal(4)
         pushed = push_random_pairs(rng, mem, 4, 3)
-        snapshot = mem.pairs
-        saved = [(p.s.tobytes(), p.y_bar.tobytes(), p.sy, p.yy, p.ss) for p in snapshot]
+        assert direction_bytes(mem, g) == reference_bytes(pushed, g)
+        saved = [(p.s.tobytes(), p.y_bar.tobytes(), p.sy, p.yy, p.ss) for p in pushed]
         pushed += push_random_pairs(rng, mem, 4, 4)
-        assert [(p.s.tobytes(), p.y_bar.tobytes(), p.sy, p.yy, p.ss) for p in snapshot] == saved
-        # the memory itself holds copies of the newest three pushes, oldest first
-        for kept, p in zip(mem.pairs, pushed[-3:]):
-            assert kept.s.tobytes() == p.s.tobytes() and kept.y_bar.tobytes() == p.y_bar.tobytes()
-            assert (kept.sy, kept.yy, kept.ss) == (p.sy, p.yy, p.ss)
-            assert kept.s is not p.s
+        assert [(p.s.tobytes(), p.y_bar.tobytes(), p.sy, p.yy, p.ss) for p in pushed[:3]] == saved
+        assert len(mem) == 3
+        assert mem.gamma == pushed[-3].yy / pushed[-3].sy
+        assert direction_bytes(mem, g) == reference_bytes(pushed[-3:], g)
+        # Another order or another window of the pushes gives other bits.
+        assert direction_bytes(mem, g) != reference_bytes(pushed[-3:][::-1], g)
+        assert direction_bytes(mem, g) != reference_bytes(pushed[-4:-1], g)
 
     def test_pushed_vectors_are_copied(self):
         s = np.array([1.0, 0.0])
-        y = np.array([2.0, 0.0])
+        y = np.array([2.0, 0.5])
+        kept = curvature_pair(s.copy(), y.copy())
         mem = LbfgsMemory(2)
-        mem.push(CurvaturePair.from_vectors(s, y))
+        mem.push(curvature_pair(s, y))
         s[0] = y[0] = -7.0
-        assert mem.pairs[0].s[0] == 1.0 and mem.pairs[0].y_bar[0] == 2.0
+        g = np.array([1.0, 3.0])
+        assert direction_bytes(mem, g) == reference_bytes([kept], g)
 
     @pytest.mark.parametrize("bad_s, bad_y", [(np.ones(3), np.ones(3)), (np.ones(2), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2)))])
     def test_push_of_another_length_rejected(self, bad_s, bad_y):
         mem = LbfgsMemory(3)
-        mem.push(CurvaturePair.from_vectors(np.array([1.0, 0.0]), np.array([2.0, 0.0])))
-        before = [(p.s.tobytes(), p.y_bar.tobytes()) for p in mem.pairs]
+        pair = curvature_pair(np.array([1.0, 0.0]), np.array([2.0, 0.5]))
+        mem.push(pair)
+        g = np.array([1.0, 3.0])
         with pytest.raises(ValueError):
             mem.push(CurvaturePair(bad_s, bad_y, 1.0, 1.0, 1.0))
-        assert [(p.s.tobytes(), p.y_bar.tobytes()) for p in mem.pairs] == before
+        assert len(mem) == 1 and mem.gamma == pair.yy / pair.sy
+        assert direction_bytes(mem, g) == reference_bytes([pair], g)
         with pytest.raises(ValueError):
             LbfgsMemory(3).push(CurvaturePair(np.ones(2), np.ones(3), 1.0, 1.0, 1.0))
 
@@ -271,7 +315,7 @@ class TestTwoLoopDirection:
     def test_single_pair_identity_on_complement(self):
         mem = LbfgsMemory(10)
         v = np.array([1.0, 0.0])
-        mem.push(CurvaturePair.from_vectors(v, v))
+        mem.push(curvature_pair(v, v))
         d = mem.direction(np.array([0.0, 1.0]), 0.0)
         assert d == pytest.approx([0.0, -1.0])
 
@@ -279,16 +323,24 @@ class TestTwoLoopDirection:
         with pytest.raises(ValueError):
             LbfgsMemory(10).direction(np.ones(2), -0.5)
 
+    @pytest.mark.parametrize("sy", [0.0, -1.0])
+    def test_pair_without_positive_curvature_refused(self, sy):
+        # screen_pair admits no such pair; a hand-built one fails loudly.
+        mem = LbfgsMemory(3)
+        mem.push(CurvaturePair(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), sy, 1.0, 1.0))
+        with pytest.raises(ValueError, match="lost positive curvature"):
+            mem.direction(np.ones(2), 0.0)
+
     @pytest.mark.parametrize("mu", [0.0, 0.1, 1.0, 10.0])
     def test_matches_dense_inverse(self, mu):
         rng = np.random.default_rng(2024)
         for _ in range(25):
             n = int(rng.integers(2, 21))
-            mem = make_screened_memory(rng, n, int(rng.integers(0, 11)))
+            mem, pairs = make_screened_memory(rng, n, int(rng.integers(0, 11)))
             for _ in range(4):
                 g = rng.standard_normal(n)
                 d_fast = mem.direction(g, mu)
-                d_dense = -np.linalg.solve(materialize(mem, mu, n), g)
+                d_dense = -np.linalg.solve(materialize(pairs, mu, n), g)
                 denom = max(float(np.linalg.norm(d_dense)), 1e-300)
                 assert float(np.linalg.norm(d_fast - d_dense)) / denom <= 1e-9
 
@@ -300,31 +352,35 @@ class TestTwoLoopDirection:
         rng = np.random.default_rng(n)
         mem = LbfgsMemory(4)
         g = rng.standard_normal(n)
+        pushed = []
         for pushes in range(11):
             for mu in (0.0, 0.1, 10.0):
-                expected = two_loop_reference(mem.pairs, g, mu)
+                expected = two_loop_reference(pushed[-4:], g, mu)
                 assert mem.direction(g, mu).tobytes() == expected.tobytes()
-            push_random_pairs(rng, mem, n, 1)
+            pushed += push_random_pairs(rng, mem, n, 1)
         assert len(mem) == 4
 
     def test_direction_leaves_memory_and_gradient_untouched(self):
         rng = np.random.default_rng(3)
         mem = LbfgsMemory(3)
-        push_random_pairs(rng, mem, 5, 4)
-        before = [(p.s.tobytes(), p.y_bar.tobytes()) for p in mem.pairs]
+        pushed = push_random_pairs(rng, mem, 5, 4)
         g = rng.standard_normal(5)
         g_bytes = g.tobytes()
         d1 = mem.direction(g, 0.5)
         d2 = mem.direction(g, 0.5)
         assert d1 is not d2 and d1.tobytes() == d2.tobytes()
         assert g.tobytes() == g_bytes
-        assert [(p.s.tobytes(), p.y_bar.tobytes()) for p in mem.pairs] == before
+        # The memory still holds the newest three pushes: the unshifted
+        # direction after shifted ones reads the stored rows, not the shifted.
+        other = rng.standard_normal(5)
+        assert len(mem) == 3 and mem.gamma == pushed[-3].yy / pushed[-3].sy
+        assert direction_bytes(mem, other) == reference_bytes(pushed[-3:], other)
 
     def test_descent_property(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(2, 15))
-            mem = make_screened_memory(rng, n, int(rng.integers(0, 11)))
+            mem, _ = make_screened_memory(rng, n, int(rng.integers(0, 11)))
             g = rng.standard_normal(n)
             for mu in (0.0, 0.5, 3.0):
                 assert float(g @ mem.direction(g, mu)) < 0.0
@@ -378,32 +434,30 @@ class TestModifiedSecant:
 
 class TestMaterialize:
     def test_empty_memory_identity(self):
-        assert np.array_equal(materialize(LbfgsMemory(10), 0.0, 3), np.eye(3))
+        assert np.array_equal(materialize([], 0.0, 3), np.eye(3))
 
     def test_empty_memory_shifted(self):
-        assert np.array_equal(materialize(LbfgsMemory(10), 2.0, 2), 3.0 * np.eye(2))
+        assert np.array_equal(materialize([], 2.0, 2), 3.0 * np.eye(2))
 
     def test_secant_equation_for_newest_pair(self):
         rng = np.random.default_rng(11)
         for mu in (0.0, 0.7):
-            mem = make_screened_memory(rng, 6, 4)
-            b = materialize(mem, mu, 6)
-            p = mem.pairs[-1]
+            _, pairs = make_screened_memory(rng, 6, 4)
+            b = materialize(pairs, mu, 6)
+            p = pairs[-1]
             assert b @ p.s == pytest.approx(p.y_bar + mu * p.s, abs=1e-10)
 
     def test_shift_consistency(self):
         # shifting stored pairs by mu up front equals materializing with mu
         rng = np.random.default_rng(13)
         mu = 0.8
-        mem = make_screened_memory(rng, 5, 3)
-        shifted = LbfgsMemory(10)
-        for p in mem.pairs:
-            shifted.push(CurvaturePair.from_vectors(p.s, p.y_bar + mu * p.s))
-        assert materialize(shifted, 0.0, 5) == pytest.approx(materialize(mem, mu, 5), rel=1e-12)
+        _, pairs = make_screened_memory(rng, 5, 3)
+        shifted = [curvature_pair(p.s, p.y_bar + mu * p.s) for p in pairs]
+        assert materialize(shifted, 0.0, 5) == pytest.approx(materialize(pairs, mu, 5), rel=1e-12)
 
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
-            materialize(LbfgsMemory(10), 0.0, 51)
+            materialize([], 0.0, 51)
 
 
 def test_spectral_bounds_formula_values():
@@ -419,10 +473,11 @@ def test_eigenvalues_within_spectral_bounds():
     lam, big = 0.5, 2.0
     for _ in range(40):
         npairs = int(rng.integers(1, 11))
-        mem = make_screened_memory(rng, 10, npairs, lo=lam, hi=big, min_curv=lam, max_curv=big)
-        for p in mem.pairs:
-            assert screen_pair(p.s, p.y_bar, lam, big)
+        with screen_bounds(lam, big):
+            mem, pairs = make_screened_memory(rng, 10, npairs, lo=lam, hi=big)
+            for p in pairs:
+                assert screen_pair(p.s, p.y_bar)
         m, big_m = bfgs_spectral_bounds(len(mem), lam, big)
-        ev = np.linalg.eigvalsh(materialize(mem, 0.0, 10))
+        ev = np.linalg.eigvalsh(materialize(pairs, 0.0, 10))
         assert ev.min() >= m - 1e-8
         assert ev.max() <= big_m + 1e-8

@@ -67,6 +67,14 @@ class TestComputeDelta:
 
 
 class TestBacktrack:
+    @pytest.mark.parametrize("eps_f", [1.0, -0.1])
+    def test_eps_f_outside_the_unit_interval_refused(self, eps_f):
+        o = NoisyOracle(get_problem("sphere_n2"), NoiseModel())
+        x = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="eps_f"):
+            backtrack(o, x, -x, -1.0, 0.5, eps_f=eps_f)
+        assert o.f_calls == 0
+
     def test_exact_sphere_accepts_unit_step(self):
         p = get_problem("sphere_n2")
         o = NoisyOracle(p, NoiseModel())

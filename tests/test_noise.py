@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qnbench.noise import DRAW_BLOCK, NoiseModel, NoisyOracle, OracleError, default_eps_f
-from qnbench.problems import get_problem, make_illcond_quadratic, make_sphere
+from qnbench.problems import ObjectiveProblem, get_problem, make_illcond_quadratic, make_sphere
 
 
 def test_default_eps_f_table():
@@ -25,6 +25,9 @@ def test_exact_model_passthrough():
     assert o.f_bar(np.array([3.0, 4.0])) == 12.5
     assert o.grad_bar(np.array([3.0, 4.0])) == pytest.approx([3.0, 4.0])
     assert default_eps_f(NoiseModel()) == 0.0
+    # Any real vector is evaluated as float64, and every call is counted.
+    assert o.f_bar([3.0, 4.0]) == o.f_bar(np.array([3.0, 4.0], dtype=np.float32)) == 12.5
+    assert o.f_calls == 3
 
 
 def test_additive_uniform_objective_bound():
@@ -147,10 +150,27 @@ def test_precision_cast_binary64_is_identity():
 
 def test_precision_cast_overflow_raises():
     o = NoisyOracle(get_problem("sphere_n2"), NoiseModel(kind="precision_cast", bits=16))
-    with pytest.raises(OracleError) as exc:
+    with pytest.raises(OracleError, match="input overflows binary16 range"):
         o.f_bar(np.array([1e6, 0.0]))
-    assert exc.value.kind == "precision_cast"
-    assert exc.value.x is not None
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("model", [NoiseModel(), NoiseModel(kind="additive_uniform", level=1e-3)], ids=["exact", "uniform"])
+def test_nonfinite_value_is_refused(model, value):
+    # f and grad are finite at x0 and ``value`` at x[0] > 1.
+    sphere = make_sphere(2)
+    p = ObjectiveProblem(
+        "walled_n2", 2,
+        lambda x: sphere.f(x) if x[0] <= 1.0 else value,
+        lambda x: sphere.grad(x) if x[0] <= 1.0 else np.full(2, value),
+        sphere.x0,
+    )
+    o = NoisyOracle(p, model)
+    with pytest.raises(OracleError, match=f"non-finite objective under {model.kind} model"):
+        o.f_bar(np.array([2.0, 0.0]))
+    with pytest.raises(OracleError, match=f"non-finite gradient under {model.kind} model"):
+        o.grad_bar(np.array([2.0, 0.0]))
+    assert (o.f_calls, o.g_calls) == (1, 1)
 
 
 def test_model_validation():

@@ -9,6 +9,8 @@ from qnbench.problems import (
     LastValueMemo,
     ObjectiveProblem,
     get_problem,
+    make_ext_powell,
+    make_ext_rosenbrock,
     make_illcond_quadratic,
     registry,
     suite_names,
@@ -170,6 +172,12 @@ def test_problem_constructor_validation():
         ObjectiveProblem("bad", 3, lambda x: 0.0, lambda x: x, np.zeros(2))
     with pytest.raises(ValueError):
         ObjectiveProblem("bad", 1, lambda x: float("nan"), lambda x: x, np.zeros(1))
+
+
+@pytest.mark.parametrize("make, n", [(make_ext_rosenbrock, 3), (make_ext_powell, 6)])
+def test_block_problems_refuse_a_dimension_the_blocks_do_not_divide(make, n):
+    with pytest.raises(ValueError):
+        make(n)
 
 
 def test_suite_resolution():

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +204,51 @@ def test_oracle_error_returns_partial_result():
     model = NoiseModel(kind="precision_cast", bits=16)
     res = solve(p, model, SolverConfig(eps_gtol=1e-8, eps_f=9.77e-2, variant="ours", k_max=50))
     assert res.status == "oracle_error"
+
+
+def _walled_rosenbrock(where, value):
+    # rosenbrock_n2 whose f (where="f") is ``value`` at x[1] <= 0.5, or whose
+    # gradient (where="grad") is ``value`` in each entry at x[0] >= 0.5; the
+    # iterates from x0 = (-1.2, 1) reach either wall after some iterations.
+    base = get_problem("rosenbrock_n2")
+    if where == "f":
+        return ObjectiveProblem("walled_n2", 2, lambda x: base.f(x) if x[1] > 0.5 else value, base.grad, base.x0)
+    grad = lambda x: base.grad(x) if x[0] < 0.5 else np.full(2, value)
+    return ObjectiveProblem("walled_n2", 2, base.f, grad, base.x0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["f", "grad"])
+def test_nonfinite_oracle_value_ends_in_oracle_error(where, value):
+    # The refused call is counted, the trace keeps the completed iterations,
+    # and x_final lies before the wall.
+    p = _walled_rosenbrock(where, value)
+    res = solve(p, NoiseModel(), SolverConfig(variant="ours", k_max=1000))
+    assert res.status == "oracle_error"
+    assert res.iterations == (25 if where == "f" else 48)
+    # The iteration that meets the wall makes one objective probe, refused
+    # at the f wall and accepted at the gradient wall, whose call is refused.
+    last = res.trace[-1]
+    assert (res.f_calls - last.f_calls, res.g_calls - last.g_calls) == ((1, 0) if where == "f" else (1, 1))
+    assert math.isnan(res.final_f_bar) and math.isnan(res.final_g_inf)
+    assert math.isfinite(p.f(res.x_final)) and np.isfinite(p.grad(res.x_final)).all()
+
+
+def test_x_final_of_an_oracle_error_run_is_its_last_iterate():
+    p = _walled_rosenbrock("f", float("nan"))
+    res = solve(p, NoiseModel(), SolverConfig(variant="ours", k_max=1000))
+    assert res.status == "oracle_error"
+    rerun = solve(p, NoiseModel(), SolverConfig(variant="ours", k_max=res.iterations))
+    assert rerun.status == "max_iters"
+    assert rerun.x_final.tobytes() == res.x_final.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["ours", "baseline_line"])
+def test_x_final_is_where_the_final_gradient_was_taken(variant):
+    p = get_problem("rosenbrock_n2")
+    res = solve(p, NoiseModel(), exact(eps_gtol=1e-5, variant=variant))
+    assert res.status == "converged" and res.iterations > 0
+    assert float(np.abs(p.grad(res.x_final)).max()) == res.final_g_inf
 
 
 def _plateau(f):

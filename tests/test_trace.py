@@ -85,6 +85,7 @@ def test_inequality_both_ways(rows, data):
     changed[i] = IterationRecord(**{**vars(records[i]), "rejections": records[i].rejections + 1})
     assert trace != changed and changed != trace
     assert trace != "not a trace"
+    assert (trace == 5) is False and trace != 5
 
 
 INT_FIELDS = ("rejections", "f_calls", "g_calls")
