@@ -77,9 +77,8 @@ def main():
               help="Uniform gradient noise per component or one shared draw.")
 @click.option("--metric", type=click.Choice(METRICS), default=METRICS[0], show_default=True,
               help="Oracle-call metric: objective+gradient calls or objective calls only.")
-@click.option("--time-budget", type=float, default=SolverConfig.time_budget, show_default=True, help="Wall-clock budget per run, seconds.")
 def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path, trace_dir,
-                fresh_fk, noise_grad_mode, metric, time_budget):
+                fresh_fk, noise_grad_mode, metric):
     """Run the benchmark matrix and write one CSV row per run."""
     model = parse_noise(noise, noise_grad_mode)
     eps_f = parse_eps_f(eps_f)
@@ -88,14 +87,14 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
     # Ask for run_matrix's refusals before any run, so that they are usage
     # errors while an error raised during a run still ends in a traceback.
     try:
-        cfg = SolverConfig(k_max=kmax, time_budget=time_budget, fresh_fk=fresh_fk)
+        cfg = SolverConfig(k_max=kmax, fresh_fk=fresh_fk)
         matrix = (suite_names(suite), solver_list, model, gtol, seed_list, jobs)
         settings = dict(eps_f=eps_f, base_cfg=cfg, metric=metric)
         _plan(*matrix, **settings)
     except (ValueError, KeyError) as exc:
         # A refusal names the field or the list it refuses: name its option.
-        options = dict(eps_gtol="--gtol", eps_f="--eps-f", k_max="--kmax", time_budget="--time-budget", variant="--solver",
-                       solver="--solver", parallelism="--jobs", seed="--seeds", problem="--suite")
+        options = dict(eps_gtol="--gtol", eps_f="--eps-f", k_max="--kmax", variant="--solver", solver="--solver",
+                       parallelism="--jobs", seed="--seeds", problem="--suite")
         option = next((options[word] for word in exc.args[0].split() if word in options), None)
         raise click.UsageError(f"{option}: {exc.args[0]}" if option else exc.args[0]) from None
     if trace_dir is None:

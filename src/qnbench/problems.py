@@ -1,10 +1,11 @@
 """Built-in smooth unconstrained test problems with analytic gradients.
 
-Each problem fixes its dimension and conventional starting point, and the
-dimension is baked into the registered name (``rosenbrock_n2``,
-``broyden_tridiag_n100``, ...) so result tables stay self-describing.
-The collection spans convex quadratics (well and ill conditioned),
-Rosenbrock-type valleys, and separable/chained nonconvex functions.
+Each problem fixes its conventional starting point ``x0``, whose length is
+its dimension, and the dimension is baked into the registered name
+(``rosenbrock_n2``, ``broyden_tridiag_n100``, ...) so result tables stay
+self-describing. The collection spans convex quadratics (well and ill
+conditioned), Rosenbrock-type valleys, and separable/chained nonconvex
+functions.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ class LastValueMemo:
 class ObjectiveProblem:
     """A smooth unconstrained minimization problem with an exact gradient.
 
-    ``f`` and ``grad`` accept a 1-D float64 array of length ``dim``. ``grad``
-    must be the analytic gradient of ``f`` (verified against central finite
-    differences in the test suite). ``f_star`` is the known infimum when
-    available; it is used only for sanity checks, never by solvers.
+    ``f`` and ``grad`` accept a 1-D float64 array of the length of ``x0``,
+    which sets the dimension. ``grad`` must be the analytic gradient of
+    ``f`` (verified against central finite differences in the test suite).
+    ``f_star`` is the known infimum when available; it is used only for
+    sanity checks, never by solvers.
 
     ``f`` must be a pure function of ``x``: construction wraps it in a
     :class:`LastValueMemo`, which returns the previous value when called
@@ -68,7 +70,6 @@ class ObjectiveProblem:
     """
 
     name: str
-    dim: int
     f: Callable[[Array], float]
     grad: Callable[[Array], Array]
     x0: Array
@@ -78,10 +79,8 @@ class ObjectiveProblem:
         # dataclasses.replace re-runs this on an already wrapped ``f``.
         if not isinstance(self.f, LastValueMemo):
             object.__setattr__(self, "f", LastValueMemo(self.f))
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.x0.shape != (self.dim,):
-            raise ValueError(f"x0 must have shape ({self.dim},), got {self.x0.shape}")
+        if self.x0.ndim != 1 or self.x0.size < 1:
+            raise ValueError(f"x0 must be a nonempty 1-D array, got shape {self.x0.shape}")
         if not (np.isfinite(self.f(self.x0)) and np.all(np.isfinite(self.grad(self.x0)))):
             raise ValueError(f"{self.name}: f or grad not finite at x0")
 
@@ -95,7 +94,7 @@ def make_sphere(n: int) -> ObjectiveProblem:
     def grad(x):
         return np.array(x, dtype=float)
 
-    return ObjectiveProblem(f"sphere_n{n}", n, f, grad, np.ones(n), 0.0)
+    return ObjectiveProblem(f"sphere_n{n}", f, grad, np.ones(n), 0.0)
 
 
 def _diagonal_quadratic(name: str, w: Array) -> ObjectiveProblem:
@@ -107,7 +106,7 @@ def _diagonal_quadratic(name: str, w: Array) -> ObjectiveProblem:
     def grad(x):
         return w * x
 
-    return ObjectiveProblem(name, w.size, f, grad, np.ones(w.size), 0.0)
+    return ObjectiveProblem(name, f, grad, np.ones(w.size), 0.0)
 
 
 def make_illcond_quadratic(n: int) -> ObjectiveProblem:
@@ -136,7 +135,7 @@ def make_chained_rosenbrock(n: int) -> ObjectiveProblem:
     x0 = np.empty(n)
     x0[0::2] = -1.2
     x0[1::2] = 1.0
-    return ObjectiveProblem(f"chained_rosenbrock_n{n}", n, f, grad, x0, 0.0)
+    return ObjectiveProblem(f"chained_rosenbrock_n{n}", f, grad, x0, 0.0)
 
 
 def make_ext_rosenbrock(n: int) -> ObjectiveProblem:
@@ -159,7 +158,7 @@ def make_ext_rosenbrock(n: int) -> ObjectiveProblem:
     x0 = np.empty(n)
     x0[0::2] = -1.2
     x0[1::2] = 1.0
-    return ObjectiveProblem(f"ext_rosenbrock_n{n}", n, f, grad, x0, 0.0)
+    return ObjectiveProblem(f"ext_rosenbrock_n{n}", f, grad, x0, 0.0)
 
 
 def make_beale() -> ObjectiveProblem:
@@ -180,7 +179,7 @@ def make_beale() -> ObjectiveProblem:
         dr2 = x1 * powers * x2 ** (powers - 1.0)
         return np.array([2.0 * r.dot(dr1), 2.0 * r.dot(dr2)])
 
-    return ObjectiveProblem("beale_n2", 2, f, grad, np.array([1.0, 1.0]), 0.0)
+    return ObjectiveProblem("beale_n2", f, grad, np.array([1.0, 1.0]), 0.0)
 
 
 def make_wood() -> ObjectiveProblem:
@@ -208,7 +207,7 @@ def make_wood() -> ObjectiveProblem:
             ]
         )
 
-    return ObjectiveProblem("wood_n4", 4, f, grad, np.array([-3.0, -1.0, -3.0, -1.0]), 0.0)
+    return ObjectiveProblem("wood_n4", f, grad, np.array([-3.0, -1.0, -3.0, -1.0]), 0.0)
 
 
 def make_ext_powell(n: int) -> ObjectiveProblem:
@@ -236,7 +235,7 @@ def make_ext_powell(n: int) -> ObjectiveProblem:
         return g
 
     x0 = np.tile(np.array([3.0, -1.0, 0.0, 1.0]), n // 4)
-    return ObjectiveProblem(f"ext_powell_n{n}", n, f, grad, x0, 0.0)
+    return ObjectiveProblem(f"ext_powell_n{n}", f, grad, x0, 0.0)
 
 
 def make_dixon_price(n: int) -> ObjectiveProblem:
@@ -255,7 +254,7 @@ def make_dixon_price(n: int) -> ObjectiveProblem:
         g[:-1] -= 2.0 * idx * t
         return g
 
-    return ObjectiveProblem(f"dixon_price_n{n}", n, f, grad, np.ones(n), 0.0)
+    return ObjectiveProblem(f"dixon_price_n{n}", f, grad, np.ones(n), 0.0)
 
 
 def make_trigonometric(n: int) -> ObjectiveProblem:
@@ -275,7 +274,7 @@ def make_trigonometric(n: int) -> ObjectiveProblem:
         s = np.sin(x)
         return 2.0 * s * np.add.reduce(r) + 2.0 * r * (idx * s - np.cos(x))
 
-    return ObjectiveProblem(f"trigonometric_n{n}", n, f, grad, np.full(n, 1.0 / n), 0.0)
+    return ObjectiveProblem(f"trigonometric_n{n}", f, grad, np.full(n, 1.0 / n), 0.0)
 
 
 def make_broyden_tridiagonal(n: int) -> ObjectiveProblem:
@@ -298,7 +297,7 @@ def make_broyden_tridiagonal(n: int) -> ObjectiveProblem:
         g[1:] -= 4.0 * r[:-1]
         return g
 
-    return ObjectiveProblem(f"broyden_tridiag_n{n}", n, f, grad, np.full(n, -1.0), 0.0)
+    return ObjectiveProblem(f"broyden_tridiag_n{n}", f, grad, np.full(n, -1.0), 0.0)
 
 
 def make_penalty1(n: int) -> ObjectiveProblem:
@@ -311,7 +310,7 @@ def make_penalty1(n: int) -> ObjectiveProblem:
     def grad(x):
         return 2.0 * a * (x - 1.0) + 4.0 * (float(x.dot(x)) - 0.25) * x
 
-    return ObjectiveProblem(f"penalty1_n{n}", n, f, grad, np.arange(1, n + 1, dtype=float))
+    return ObjectiveProblem(f"penalty1_n{n}", f, grad, np.arange(1, n + 1, dtype=float))
 
 
 def make_quartic(n: int) -> ObjectiveProblem:
@@ -324,7 +323,7 @@ def make_quartic(n: int) -> ObjectiveProblem:
     def grad(x):
         return w * x**3
 
-    return ObjectiveProblem(f"quartic_n{n}", n, f, grad, np.ones(n), 0.0)
+    return ObjectiveProblem(f"quartic_n{n}", f, grad, np.ones(n), 0.0)
 
 
 @lru_cache(maxsize=1)
@@ -361,9 +360,6 @@ def _registry() -> tuple:
         make_quartic(10),
         make_quartic(100),
     ]
-    names = [p.name for p in probs]
-    if len(set(names)) != len(names):
-        raise RuntimeError("duplicate problem names in registry")
     return tuple(probs)
 
 

@@ -45,11 +45,9 @@ buffer per stored column and one small object per zero-width column.
 from __future__ import annotations
 
 import math
-import operator
-import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -73,19 +71,13 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Per-run settings, validated when built.
-
-    ``time_budget`` (seconds) is checked between iterations only, so a run
-    overruns it by up to one iteration, whose search may make all its
-    ``linesearch.MAX_REJECTIONS + 1`` objective probes.
-    """
+    """Per-run settings, validated when built. ``k_max`` is a run's only budget."""
 
     memory_size: int = 10
     k_max: int = 15000
     eps_gtol: float = 1e-5
     eps_f: float = 0.0
     variant: str = "ours"
-    time_budget: float = 600.0
     fresh_fk: bool = False
 
     def __post_init__(self):
@@ -98,8 +90,6 @@ class SolverConfig:
             raise ValueError(f"eps_gtol must be >= 0, got {self.eps_gtol!r}")
         if not 0.0 <= self.eps_f < 1.0:
             raise ValueError(f"eps_f must lie in [0, 1), got {self.eps_f!r}")
-        if not self.time_budget > 0.0:
-            raise ValueError(f"time_budget must be > 0, got {self.time_budget!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
 
@@ -128,11 +118,6 @@ _HINTS = get_type_hints(IterationRecord)
 _TYPECODES = tuple({int: "q", float: "d"}[_HINTS[name]] for name in _COLUMNS)
 _MU = _COLUMNS.index("mu")
 _LABEL_AT = _FIELDS.index("set_label") - 1  # among the fields after ``k``
-
-
-def _open_columns() -> list[array]:
-    """One empty column per stored field, for ``solve`` to append a run to."""
-    return [array(code) for code in _TYPECODES]
 
 
 class _Zeros:
@@ -208,15 +193,10 @@ class Trace(Sequence):
         return len(self._columns[0])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._record(k) for k in range(*index.indices(len(self)))]
-        k = operator.index(index)
-        n = len(self)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError("trace index out of range")
-        return self._record(k)
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return [self._record(k) for k in rows]
+        return self._record(rows)
 
     def __iter__(self):
         for k in range(len(self)):
@@ -230,22 +210,22 @@ class Trace(Sequence):
 
 @dataclass
 class SolveResult:
-    """Outcome of one :func:`solve` run.
+    """Outcome of one :func:`solve` run, which sets every field.
 
-    ``status`` is ``converged``, ``max_iters``, ``timeout`` or
-    ``oracle_error``: the oracle refused a point, or a finite gradient's
-    squared norm overflowed. An ``oracle_error`` result keeps the partial
-    trace and call counts, and leaves ``final_f_bar``/``final_g_inf`` NaN.
+    ``status`` is ``converged``, ``max_iters`` or ``oracle_error``: the
+    oracle refused a point, or a finite gradient's squared norm overflowed.
+    An ``oracle_error`` result keeps the partial trace and call counts, and
+    leaves ``final_f_bar``/``final_g_inf`` NaN.
     """
 
     status: str
     x_final: Array
-    trace: Trace = field(default_factory=lambda: Trace(_open_columns()))
-    f_calls: int = 0
-    g_calls: int = 0
-    final_f_bar: float = np.nan
-    final_g_inf: float = np.nan
-    discarded_grad_probes: int = 0
+    trace: Trace
+    f_calls: int
+    g_calls: int
+    final_f_bar: float
+    final_g_inf: float
+    discarded_grad_probes: int
 
     @property
     def iterations(self) -> int:
@@ -256,10 +236,9 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     """Run ``cfg.variant`` on ``problem`` under ``noise_model`` from ``problem.x0``.
 
     Stops when the gradient's infinity norm reaches ``cfg.eps_gtol``
-    (``converged``), after ``cfg.k_max`` iterations (``max_iters``), past
-    ``cfg.time_budget`` seconds (``timeout``), or when the oracle refuses a
-    point or a finite gradient's squared norm overflows (``oracle_error``,
-    with the partial trace).
+    (``converged``), after ``cfg.k_max`` iterations (``max_iters``), or when
+    the oracle refuses a point or a finite gradient's squared norm overflows
+    (``oracle_error``, with the partial trace).
     """
     regularized, use_ms = VARIANTS[cfg.variant]
     oracle = NoisyOracle(problem, noise_model)
@@ -267,10 +246,9 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     ls_eps_f = cfg.eps_f if regularized else 0.0
 
     x = np.array(problem.x0, dtype=float)
-    columns = _open_columns()
+    columns = [array(code) for code in _TYPECODES]
     discarded = 0
     status = "max_iters"
-    t_start = time.perf_counter()
 
     try:
         g = oracle.grad_bar(x)
@@ -282,9 +260,6 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
             g_inf = float(np.abs(g).max())
             if g_inf <= cfg.eps_gtol:
                 status = "converged"
-                break
-            if time.perf_counter() - t_start > cfg.time_budget:
-                status = "timeout"
                 break
             if cfg.fresh_fk and k > 0:
                 f_bar = oracle.f_bar(x)

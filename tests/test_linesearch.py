@@ -13,7 +13,7 @@ from qnbench.problems import ObjectiveProblem, get_problem
 
 
 def scalar_problem(f, grad, x0=1.0, name="scalar"):
-    return ObjectiveProblem(name + "_n1", 1, lambda x: float(f(x[0])), lambda x: np.array([grad(x[0])]), np.array([x0]))
+    return ObjectiveProblem(name + "_n1", lambda x: float(f(x[0])), lambda x: np.array([grad(x[0])]), np.array([x0]))
 
 
 class FixedOracle:
@@ -136,6 +136,20 @@ class TestBacktrack:
         assert res.rejections == MAX_REJECTIONS
         assert o.f_calls == MAX_REJECTIONS + 1
         assert BETA_MIN**MAX_REJECTIONS <= res.alpha <= BETA_MAX**MAX_REJECTIONS
+
+    def test_upper_clip_binds_once_the_interpolant_is_subnormal(self):
+        # After the first probe every trial returns f_bar_x, so each later
+        # fit gives alpha / 2 in exact arithmetic; but gtd * alpha**2 turns
+        # subnormal here, and the rounded fit overshoots BETA_MAX * alpha.
+        # x = 0 and d = 1, so each probe's x[0] is its alpha exactly.
+        o = FixedOracle([9.875980117652487e248, 0.0])
+        res = backtrack(o, np.array([0.0]), np.array([1.0]), -7.169441288522104e-280, 0.0, mu=0.0, eps_f=0.0)
+        alphas = [float(p[0]) for p in o.points]
+        steps = list(zip(alphas, alphas[1:]))
+        assert all(new <= BETA_MAX * old for old, new in steps)
+        assert any(new == BETA_MAX * old for old, new in steps)
+        assert res.rejections == 88 and not res.exhausted
+        assert res.alpha == 3.078432239753159e-42
 
     def test_vanishing_step_probes_x_until_exhausted(self):
         # alpha * d is lost against x from the first probe on: every trial is

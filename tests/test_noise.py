@@ -160,7 +160,7 @@ def test_nonfinite_value_is_refused(model, value):
     # f and grad are finite at x0 and ``value`` at x[0] > 1.
     sphere = make_sphere(2)
     p = ObjectiveProblem(
-        "walled_n2", 2,
+        "walled_n2",
         lambda x: sphere.f(x) if x[0] <= 1.0 else value,
         lambda x: sphere.grad(x) if x[0] <= 1.0 else np.full(2, value),
         sphere.x0,

@@ -24,7 +24,7 @@ def counted_sum_problem():
         seen.append(x.dtype)
         return float(np.add.reduce(x, axis=None))
 
-    return ObjectiveProblem("sum_n2", 2, f, lambda x: np.ones(2), np.zeros(2)), seen
+    return ObjectiveProblem("sum_n2", f, lambda x: np.ones(2), np.zeros(2)), seen
 
 
 def test_objective_memo_returns_fresh_values_after_mutation():
@@ -71,7 +71,7 @@ def test_registry_size_and_unique_names():
 
 def test_names_encode_dimension():
     for p in registry():
-        assert p.name.endswith(f"_n{p.dim}")
+        assert p.name.endswith(f"_n{p.x0.size}")
 
 
 def test_category_dimension_coverage():
@@ -88,7 +88,7 @@ def test_category_dimension_coverage():
 
 def test_illcond_quadratic_n10000_matches_cost_experiment_form():
     p = get_problem("illcond_quadratic_n10000")
-    assert p.dim == 10000
+    assert p.x0.size == 10000
     assert np.all(p.x0 == 1.0)
     # 0.5 * sum(i * 1^2) for i = 1..10000
     assert p.f(p.x0) == pytest.approx(0.5 * 10000 * 10001 / 2, rel=1e-14)
@@ -143,7 +143,7 @@ def test_finite_diff_rejects_bad_h():
 
 def test_finite_diff_reports_offending_coordinate():
     bad = ObjectiveProblem(
-        "sqrt_n2", 2,
+        "sqrt_n2",
         lambda x: float(np.sqrt(np.maximum(x[0], -1.0)) + x[1]) if x[0] >= 0 else float("nan"),
         lambda x: np.array([0.5 / np.sqrt(x[0]), 1.0]),
         np.array([1.0, 1.0]),
@@ -156,7 +156,7 @@ def test_finite_diff_reports_offending_coordinate():
 def test_gradient_matches_finite_differences_near_x0(problem):
     rng = np.random.default_rng(12345)
     for _ in range(5):
-        x = problem.x0 + 0.1 * rng.standard_normal(problem.dim)
+        x = problem.x0 + 0.1 * rng.standard_normal(problem.x0.size)
         g = problem.grad(x)
         fd = finite_diff_gradient(problem, x, 1e-6)
         tol = 1e-4 * max(1.0, float(np.linalg.norm(g, np.inf)))
@@ -167,11 +167,11 @@ def test_gradient_matches_finite_differences_near_x0(problem):
 
 def test_problem_constructor_validation():
     with pytest.raises(ValueError):
-        ObjectiveProblem("bad", 0, lambda x: 0.0, lambda x: x, np.zeros(0))
+        ObjectiveProblem("bad", lambda x: 0.0, lambda x: x, np.zeros(0))
+    with pytest.raises(ValueError, match="1-D"):
+        ObjectiveProblem("bad", lambda x: 0.0, lambda x: x, np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        ObjectiveProblem("bad", 3, lambda x: 0.0, lambda x: x, np.zeros(2))
-    with pytest.raises(ValueError):
-        ObjectiveProblem("bad", 1, lambda x: float("nan"), lambda x: x, np.zeros(1))
+        ObjectiveProblem("bad", lambda x: float("nan"), lambda x: x, np.zeros(1))
 
 
 @pytest.mark.parametrize("make, n", [(make_ext_rosenbrock, 3), (make_ext_powell, 6)])

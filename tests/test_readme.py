@@ -1,7 +1,12 @@
-"""The README's Python examples run as written, so they cannot drift from the API."""
+"""The README's Python examples run as written, and its lists of settings and
+CSV columns are the code's, so neither can drift from the API."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from qnbench.bench import RUNS_HEADER, TRACE_HEADER
+from qnbench.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +19,11 @@ def test_readme_python_blocks_run(capsys):
     # The quick start prints status, iterations and call counts of a run
     # that converges.
     assert capsys.readouterr().out.startswith("converged ")
+
+
+def test_readme_lists_the_solver_settings_and_csv_headers():
+    text = README.read_text()
+    (settings,) = re.findall(r"`SolverConfig` holds the per-run settings \(([^)]*)\)", text)
+    assert re.findall(r"`(\w+)`", settings) == [f.name for f in fields(SolverConfig)]
+    assert re.findall(r"`(problem,[\w,]*)`", text) == [",".join(RUNS_HEADER)]
+    assert re.findall(r"`(k,[\w,]*)`", text) == [",".join(TRACE_HEADER)]
