@@ -1,8 +1,9 @@
 """Benchmark harness: run solver/problem/noise matrices and build profiles.
 
-A run records the oracle-call count ``n`` a solver spent to reach the
-gradient tolerance; failed runs carry an infinite sentinel. Performance
-profiles compare solvers through the per-problem ratios
+A run records what it measured: its status and its objective and gradient
+call totals. A profile prices each run under a metric, as the oracle calls
+``n`` it spent to reach the gradient tolerance, infinite when it failed, and
+compares solvers through the per-problem ratios
 ``r = n / min_over_solvers(n)``: the curve value at ``tau`` is the fraction
 of problems a solver handled within factor ``tau`` of the best solver.
 
@@ -36,7 +37,8 @@ INF = math.inf
 # and would silently alias seeds outside it (-1 and 2**63 - 1, for one).
 SEED_LIMIT = 2**63
 
-# What ``oracle_calls`` counts (see record_from_result); the first is the default.
+# What a profile counts as a run's cost (see aggregate_seeds); the first is
+# the default.
 METRICS = ("both", "f_only")
 
 
@@ -46,7 +48,6 @@ class RunRecord:
     solver: str
     seed: int
     status: str
-    oracle_calls: float  # math.inf when the run did not converge
     f_calls: int
     g_calls: int
     iters: int
@@ -85,34 +86,23 @@ def derive_oracle_seed(problem_name: str, seed: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + h) & (SEED_LIMIT - 1)
 
 
-def _execute(task, metric: str, keep_trace: bool):
+def _execute(task, keep_trace: bool):
     name, variant, seed, model, cfg = task
     problem = get_problem(name)
     t0 = time.perf_counter()
     res = solve(problem, model, cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    record = record_from_result(name, variant, seed, res, wall_ms, metric)
+    record = record_from_result(name, variant, seed, res, wall_ms)
     return record, (res.trace if keep_trace else None)
 
 
-def record_from_result(
-    problem: str, solver: str, seed: int, res: SolveResult, wall_ms: float, metric: str
-) -> RunRecord:
-    """The run's record. ``oracle_calls`` is the run's cost under ``metric``
-    (``f_calls + g_calls`` for ``both``, ``f_calls`` for ``f_only``) when it
-    converged, and ``inf`` otherwise."""
-    if res.status != "converged":
-        n = INF
-    elif metric == "f_only":
-        n = res.f_calls
-    else:
-        n = res.f_calls + res.g_calls
+def record_from_result(problem: str, solver: str, seed: int, res: SolveResult, wall_ms: float) -> RunRecord:
+    """The run's record: what the run measured, with no cost derived."""
     return RunRecord(
         problem=problem,
         solver=solver,
         seed=seed,
         status=res.status,
-        oracle_calls=float(n),
         f_calls=res.f_calls,
         g_calls=res.g_calls,
         iters=res.iterations,
@@ -132,7 +122,6 @@ def _plan(
     *,
     eps_f: float | str,
     base_cfg: Optional[SolverConfig],
-    metric: str,
 ) -> list[tuple]:
     """Every refusal :func:`run_matrix` makes, and its task list.
 
@@ -140,7 +129,7 @@ def _plan(
     it raises before any run. Returns one ``(problem, solver, seed, oracle
     model, config)`` task per triple, in matrix order.
     """
-    if not isinstance(parallelism, int) or parallelism < 1:
+    if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
         raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
     seeds = list(seeds)
     for seed in seeds:
@@ -160,8 +149,6 @@ def _plan(
             raise ValueError(f"seed {seed} outside [0, 2**63)")
     for name in suite:
         get_problem(name)
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     eps_f_val = default_eps_f(noise) if eps_f == "auto" else float(eps_f)
     cfg0 = base_cfg if base_cfg is not None else SolverConfig()
     cfgs = [replace(cfg0, variant=s, eps_gtol=eps_gtol, eps_f=eps_f_val) for s in solvers]
@@ -183,7 +170,6 @@ def run_matrix(
     *,
     eps_f: float | str = "auto",
     base_cfg: Optional[SolverConfig] = None,
-    metric: str = METRICS[0],
     keep_traces: bool = False,
 ):
     """Execute every (problem, solver, seed) triple of the matrix.
@@ -194,24 +180,24 @@ def run_matrix(
     resolves to the model's default error rate. Every task runs ``base_cfg``
     (``SolverConfig()`` when omitted) with its ``eps_gtol``, ``eps_f`` and
     ``variant`` replaced by this call's ``eps_gtol``, resolved ``eps_f`` and
-    the task's solver name. ``metric`` picks what ``oracle_calls`` counts
-    (see :func:`record_from_result`).
+    the task's solver name. A record holds no cost: a profile prices it
+    (see :func:`aggregate_seeds`).
 
     These fail before any run, with a ``ValueError`` unless noted:
 
-    - a ``parallelism`` below 1;
+    - a ``parallelism`` that is not an ``int`` (a ``bool`` included) or is
+      below 1;
     - an empty or repeating problem, solver or seed list;
     - a seed that is not an ``int`` (a ``bool`` included) or lies outside
       ``[0, SEED_LIMIT)``;
     - an unknown problem name (``KeyError``);
-    - a ``metric`` not in ``METRICS``;
     - a setting ``SolverConfig`` refuses, such as an unknown solver name or
       an ``eps_gtol`` or ``eps_f`` out of range.
 
     An exception raised during a run propagates unchanged.
     """
-    tasks = _plan(suite, solvers, noise, eps_gtol, seeds, parallelism, eps_f=eps_f, base_cfg=base_cfg, metric=metric)
-    execute = partial(_execute, metric=metric, keep_trace=keep_traces)
+    tasks = _plan(suite, solvers, noise, eps_gtol, seeds, parallelism, eps_f=eps_f, base_cfg=base_cfg)
+    execute = partial(_execute, keep_trace=keep_traces)
     if parallelism > 1:
         # Imported here: the process pool pulls in multiprocessing and socket,
         # which a serial run never needs.
@@ -230,12 +216,23 @@ def run_matrix(
     return records
 
 
-def aggregate_seeds(records: Sequence[RunRecord]) -> dict[tuple[str, str], float]:
+def aggregate_seeds(records: Sequence[RunRecord], metric: str = METRICS[0]) -> dict[tuple[str, str], float]:
     """Collapse seeds: median oracle calls of the successful seeds per
-    (problem, solver); infinite when more than half the seeds failed."""
+    (problem, solver); infinite when more than half the seeds failed.
+
+    A run costs ``f_calls + g_calls`` under ``both`` and ``f_calls`` under
+    ``f_only`` when it converged, and ``inf`` otherwise. A ``metric`` not in
+    ``METRICS`` is refused with a ``ValueError``.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     groups: dict[tuple[str, str], list[float]] = {}
     for r in records:
-        groups.setdefault((r.problem, r.solver), []).append(r.oracle_calls)
+        if r.status != "converged":
+            n = INF
+        else:
+            n = float(r.f_calls if metric == "f_only" else r.f_calls + r.g_calls)
+        groups.setdefault((r.problem, r.solver), []).append(n)
     agg: dict[tuple[str, str], float] = {}
     for key, vals in groups.items():
         finite = sorted(v for v in vals if math.isfinite(v))
@@ -247,22 +244,25 @@ def aggregate_seeds(records: Sequence[RunRecord]) -> dict[tuple[str, str], float
     return agg
 
 
-def performance_profile(records: Sequence[RunRecord]) -> list[ProfileCurve]:
+def performance_profile(records: Sequence[RunRecord], metric: str = METRICS[0]) -> list[ProfileCurve]:
     """One profile curve per solver in ``records``, in the order the solvers
     first appear, over the problems where at least one solver succeeded.
+    Each run costs what ``metric`` counts (see :func:`aggregate_seeds`).
 
     Curves are sampled at tau = 1 and at every distinct finite ratio; failed
     runs have infinite ratio and never enter any curve value. To profile
     fewer solvers, pass only their records.
     """
-    return _profile(records)[0]
+    return _profile(records, metric)[0]
 
 
-def _profile(records: Sequence[RunRecord]) -> tuple[list[ProfileCurve], list[str], list[str]]:
+def _profile(
+    records: Sequence[RunRecord], metric: str = METRICS[0]
+) -> tuple[list[ProfileCurve], list[str], list[str]]:
     """:func:`performance_profile` with the counted and dropped problems of
     the one seed aggregation it runs."""
     solvers = list(dict.fromkeys(r.solver for r in records))
-    agg = aggregate_seeds(records)
+    agg = aggregate_seeds(records, metric)
     kept, dropped = [], []
     ratios = {}  # counted problem -> ratio per solver, in solver order
     for p in sorted({p for p, _ in agg}):

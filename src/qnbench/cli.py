@@ -3,9 +3,9 @@
 ``qnbench run`` executes a solver/problem/noise matrix and writes one CSV
 row per run, plus one trace CSV per run with ``--trace-dir``; ``qnbench
 profile`` turns such a CSV into performance-profile curves (CSV and optional
-SVG). The commands write every output file, and take their defaults and
-choices from the library. Outputs are plain files; nothing here is
-interactive.
+SVG), pricing each run under its ``--metric``. The commands write every
+output file, and take their defaults and choices from the library. Outputs
+are plain files; nothing here is interactive.
 """
 
 from __future__ import annotations
@@ -75,10 +75,8 @@ def main():
 @click.option("--fresh-fk", is_flag=True, help="Re-evaluate the objective at each iterate instead of reusing the accepted trial value.")
 @click.option("--noise-grad-mode", type=click.Choice(GRAD_MODES), default=NoiseModel.grad_mode, show_default=True,
               help="Uniform gradient noise per component or one shared draw.")
-@click.option("--metric", type=click.Choice(METRICS), default=METRICS[0], show_default=True,
-              help="Oracle-call metric: objective+gradient calls or objective calls only.")
 def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path, trace_dir,
-                fresh_fk, noise_grad_mode, metric):
+                fresh_fk, noise_grad_mode):
     """Run the benchmark matrix and write one CSV row per run."""
     model = parse_noise(noise, noise_grad_mode)
     eps_f = parse_eps_f(eps_f)
@@ -89,7 +87,7 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
     try:
         cfg = SolverConfig(k_max=kmax, fresh_fk=fresh_fk)
         matrix = (suite_names(suite), solver_list, model, gtol, seed_list, jobs)
-        settings = dict(eps_f=eps_f, base_cfg=cfg, metric=metric)
+        settings = dict(eps_f=eps_f, base_cfg=cfg)
         _plan(*matrix, **settings)
     except (ValueError, KeyError) as exc:
         # A refusal names the field or the list it refuses: name its option.
@@ -117,12 +115,14 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Runs CSV from 'qnbench run'.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Output profile CSV.")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None, help="Optional SVG plot.")
-def profile_command(in_path, out_path, svg_path):
+@click.option("--metric", type=click.Choice(METRICS), default=METRICS[0], show_default=True,
+              help="A run's cost: objective+gradient calls or objective calls only.")
+def profile_command(in_path, out_path, svg_path, metric):
     """Compute performance-profile curves from a runs CSV."""
     records = read_runs_csv(in_path)
     if not records:
         raise click.BadParameter(f"{in_path} holds no run records", param_hint="--in")
-    curves, kept, dropped = _profile(records)
+    curves, kept, dropped = _profile(records, metric)
     emit_csv(curves, out_path)
     click.echo(f"profiled {len(kept)} problems ({len(dropped)} dropped: failed for every solver)")
     for c in curves:

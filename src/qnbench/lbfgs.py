@@ -145,14 +145,15 @@ class LbfgsMemory:
     Pairs live in rows of preallocated ``(capacity, n)`` arrays, allocated
     by the first :meth:`push`, which fixes ``n``; a pair of another length
     is refused. The pairs are read only through :meth:`direction`,
-    :attr:`gamma` and ``len``. ``gamma`` is always ``||y||^2 / y's`` of the
-    *oldest* stored pair (1.0 when empty); the same rule applied to the
-    shifted pair seeds the regularized recursion.
+    :meth:`shifted_gamma` and ``len``. ``shifted_gamma(0.0)`` is
+    ``||y||^2 / y's`` of the *oldest* stored pair (1.0 when empty), the
+    scaling that Powell damping uses; the same rule applied to the shifted
+    pair seeds the regularized recursion.
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+        if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
+            raise ValueError(f"capacity must be a positive int, got {capacity!r}")
         self.capacity = capacity
         self._order: list[int] = []  # occupied slots, oldest first
         self._sy = [0.0] * capacity
@@ -163,13 +164,6 @@ class LbfgsMemory:
 
     def __len__(self) -> int:
         return len(self._order)
-
-    @property
-    def gamma(self) -> float:
-        if not self._order:
-            return 1.0
-        i = self._order[0]
-        return self._yy[i] / self._sy[i]
 
     def shifted_gamma(self, mu: float) -> float:
         """Scaling from the oldest pair after the ``y + mu*s`` shift."""

@@ -26,7 +26,6 @@ per-oracle stream, drawn call by call, would give.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -61,9 +60,11 @@ class NoiseModel:
 
     ``level`` applies to ``additive_uniform`` only and lies in
     ``(0, MAX_LEVEL]``, so that the draw range ``[-level, level]`` has a
-    finite width; ``bits`` applies to ``precision_cast`` only. ``grad_mode``
+    finite width; every other kind keeps it at 0. ``bits`` is an ``int`` in
+    (64, 32, 16), and only ``precision_cast`` sets it below 64. ``grad_mode``
     selects whether uniform gradient noise is drawn per component
     (``percomp``) or as a single draw shared by all components (``rank1``).
+    ``seed`` is an ``int``, not a ``bool``, in ``[0, 2**64)``.
     """
 
     kind: str = "exact"
@@ -75,17 +76,22 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind == "additive_uniform" and not 0 < self.level <= MAX_LEVEL:
-            raise ValueError(f"additive_uniform needs 0 < level <= {MAX_LEVEL!r}, got {self.level!r}")
-        if self.kind == "precision_cast" and self.bits not in (64, 32, 16):
-            raise ValueError("precision_cast bits must be 64, 32 or 16")
+        # A setting the kind ignores is refused, so a model says what it does.
+        if self.kind == "additive_uniform":
+            if not 0 < self.level <= MAX_LEVEL:
+                raise ValueError(f"additive_uniform needs 0 < level <= {MAX_LEVEL!r}, got {self.level!r}")
+        elif self.level != 0:
+            raise ValueError(f"level applies to additive_uniform only, got {self.level!r} for {self.kind}")
+        if not isinstance(self.bits, int) or self.bits not in (64, 32, 16):
+            raise ValueError(f"bits must be the int 64, 32 or 16, got {self.bits!r}")
+        if self.bits != 64 and self.kind != "precision_cast":
+            raise ValueError(f"bits applies to precision_cast only, got {self.bits!r} for {self.kind}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
-        if not 0 <= seed < 2**64:
+        # A bool is an int, but True would seed the stream as 1.
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
 

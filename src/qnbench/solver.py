@@ -81,16 +81,17 @@ class SolverConfig:
     fresh_fk: bool = False
 
     def __post_init__(self):
+        # A bool is an int, but True would run as 1.
+        for name in ("memory_size", "k_max"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         # Negated comparisons, so that NaN fails every float check.
-        if not isinstance(self.memory_size, int) or self.memory_size < 1:
-            raise ValueError(f"memory_size must be a positive int, got {self.memory_size!r}")
-        if not isinstance(self.k_max, int) or self.k_max < 1:
-            raise ValueError(f"k_max must be a positive int, got {self.k_max!r}")
         if not self.eps_gtol >= 0.0:
             raise ValueError(f"eps_gtol must be >= 0, got {self.eps_gtol!r}")
         if not 0.0 <= self.eps_f < 1.0:
             raise ValueError(f"eps_f must lie in [0, 1), got {self.eps_f!r}")
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
 
 
@@ -301,7 +302,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 y = g_new - g
                 if use_ms:
                     y = modified_secant(y, s, f_bar, res.f_bar_new, g, g_new)
-                y_bar = powell_damp(s, y, memory.gamma)
+                y_bar = powell_damp(s, y, memory.shifted_gamma(0.0))
                 pair = screen_pair(s, y_bar)
                 if pair is not None:
                     memory.push(pair)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import qnbench.bench as bench_mod
 from qnbench.bench import (
     INF,
+    METRICS,
     ProfileCurve,
     RunRecord,
     _profile,
@@ -26,14 +27,15 @@ from qnbench.bench import (
     write_trace_csv,
 )
 from qnbench.cli import main, parse_eps_f, parse_noise, parse_seeds
+from qnbench.lbfgs import LbfgsMemory
 from qnbench.noise import NoiseModel
 from qnbench.solver import SolveResult, SolverConfig, Trace
 
 
 def rec(problem, solver, seed=0, status="converged", calls=100.0, **kw):
+    """A record whose cost under the default metric is ``calls`` when it converged."""
     base = dict(
         problem=problem, solver=solver, seed=seed, status=status,
-        oracle_calls=calls if status == "converged" else INF,
         f_calls=int(calls) if math.isfinite(calls) else 0,
         g_calls=0, iters=10, final_f_bar=1e-9, final_g_inf=1e-9, wall_ms=1.5,
     )
@@ -56,15 +58,13 @@ class TestRunMatrix:
         records = run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-8, [0], base_cfg=SMALL_CFG)
         (r,) = records
         assert r.status == "converged"
-        assert r.oracle_calls < 50
+        assert r.f_calls + r.g_calls < 50
 
     def test_unknown_names_fail_before_running(self):
         with pytest.raises(KeyError):
             run_matrix(["nope_n1"], ["ours"], NoiseModel(), 1e-2, [0])
         with pytest.raises(ValueError):
             run_matrix(["sphere_n10"], ["warp_drive"], NoiseModel(), 1e-2, [0])
-        with pytest.raises(ValueError, match="metric must be one of"):
-            run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0], metric="calls")
 
     def test_out_of_range_seeds_fail_before_running(self, monkeypatch):
         # Outside [0, 2**63) derived oracle seeds alias: -1 would silently
@@ -121,31 +121,19 @@ class TestRunMatrix:
         emit_csv(par, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_failed_run_records_infinity(self):
+    def test_failed_run_is_priced_infinite(self):
         cfg = SolverConfig(k_max=3)
         records = run_matrix(["chained_rosenbrock_n10"], ["ours"], NoiseModel(), 1e-10, [0], base_cfg=cfg)
         (r,) = records
         assert r.status == "max_iters"
-        assert r.oracle_calls == INF
         assert r.f_calls > 0  # raw totals still recorded
+        for metric in METRICS:
+            assert aggregate_seeds(records, metric) == {("chained_rosenbrock_n10", "ours"): INF}
 
     def test_f_only_metric(self):
-        records = run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-8, [0], metric="f_only", base_cfg=SMALL_CFG)
+        records = run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-8, [0], base_cfg=SMALL_CFG)
         (r,) = records
-        assert r.oracle_calls == r.f_calls
-
-    def test_record_from_result_sets_the_metric(self):
-        def record(status, metric):
-            empty = Trace([array("d") for _ in range(6)] + [array("q") for _ in range(3)])
-            res = SolveResult(status, np.zeros(2), empty, 7, 5, math.nan, math.nan, 0)
-            return record_from_result("sphere_n2", "ours", 0, res, 1.5, metric)
-
-        assert record("converged", "both").oracle_calls == 12.0
-        assert record("converged", "f_only").oracle_calls == 7.0
-        for metric in ("both", "f_only"):
-            r = record("max_iters", metric)
-            assert r.oracle_calls == INF
-            assert (r.f_calls, r.g_calls) == (7, 5)
+        assert aggregate_seeds(records, "f_only") == {("sphere_n10", "ours"): float(r.f_calls)}
 
     def test_keep_traces(self):
         records, traces = run_matrix(
@@ -156,6 +144,27 @@ class TestRunMatrix:
 
 
 class TestAggregation:
+    def test_a_run_is_priced_by_the_metric(self):
+        def record(status):
+            empty = Trace([array("d") for _ in range(6)] + [array("q") for _ in range(3)])
+            res = SolveResult(status, np.zeros(2), empty, 7, 5, math.nan, math.nan, 0)
+            return record_from_result("sphere_n2", "ours", 0, res, 1.5)
+
+        r = record("converged")
+        assert (r.status, r.f_calls, r.g_calls, r.iters, r.wall_ms) == ("converged", 7, 5, 0, 1.5)
+        assert aggregate_seeds([r]) == aggregate_seeds([r], "both") == {("sphere_n2", "ours"): 12.0}
+        assert aggregate_seeds([r], "f_only") == {("sphere_n2", "ours"): 7.0}
+        r = record("max_iters")
+        assert (r.f_calls, r.g_calls) == (7, 5)
+        for metric in METRICS:
+            assert aggregate_seeds([r], metric) == {("sphere_n2", "ours"): INF}
+
+    def test_unknown_metric_is_refused(self):
+        records = [rec("p", "A")]
+        for profile in (aggregate_seeds, performance_profile, _profile):
+            with pytest.raises(ValueError, match="metric must be one of"):
+                profile(records, metric="calls")
+
     def test_median_of_successful_seeds(self):
         records = [rec("p", "s", seed=i, calls=c) for i, c in enumerate([100.0, 300.0, 200.0])]
         assert aggregate_seeds(records)[("p", "s")] == 200.0
@@ -227,7 +236,7 @@ class TestPerformanceProfile:
         scaled = copy.deepcopy(records)
         for r in scaled:
             if r.problem == "p1":
-                r.oracle_calls *= 7.0
+                r.f_calls *= 7
         c1 = performance_profile(records)
         c2 = performance_profile(scaled)
         for a, b in zip(c1, c2):
@@ -248,7 +257,7 @@ class TestCsv:
         path = tmp_path / "runs.csv"
         emit_csv([], path)
         assert path.read_bytes() == (
-            b"problem,solver,seed,status,oracle_calls,f_calls,g_calls,iters,final_f_bar,final_g_inf,wall_ms\r\n"
+            b"problem,solver,seed,status,f_calls,g_calls,iters,final_f_bar,final_g_inf,wall_ms\r\n"
         )
         path = tmp_path / "trace.csv"
         write_trace_csv([], path)
@@ -281,10 +290,23 @@ class TestCsv:
                 read_trace_csv(path)
 
     def test_infinity_sentinel_round_trips(self, tmp_path):
+        # A failed run read back from runs.csv is still priced infinite.
         records = [rec("p", "s", status="max_iters", calls=INF)]
         path = tmp_path / "runs.csv"
         emit_csv(records, path)
-        assert read_runs_csv(path)[0].oracle_calls == INF
+        for metric in METRICS:
+            assert aggregate_seeds(read_runs_csv(path), metric) == {("p", "s"): INF}
+
+    def test_a_runs_csv_with_the_old_cost_column_is_refused(self, tmp_path):
+        # An older runs.csv still holds oracle_calls: the header check
+        # refuses it rather than reading its columns out of place.
+        path = tmp_path / "runs.csv"
+        path.write_text(
+            "problem,solver,seed,status,oracle_calls,f_calls,g_calls,iters,final_f_bar,final_g_inf,wall_ms\n"
+            "p,s,0,converged,12.0,7,5,4,0.0,0.0,1.5\n"
+        )
+        with pytest.raises(ValueError, match="unexpected runs header"):
+            read_runs_csv(path)
 
     def test_profile_csv(self, tmp_path):
         curves = [ProfileCurve("A", [(1.0, 0.5), (2.0, 1.0)])]
@@ -491,19 +513,22 @@ class TestCli:
         assert not out.exists()
 
     def test_flag_passthrough(self, tmp_path):
-        # --fresh-fk, --noise-grad-mode and --metric must reach the solver layer
+        # --fresh-fk and --noise-grad-mode must reach the solver layer.
+        # --metric is a profile option (TestProfileCommand), which run refuses.
         runner = CliRunner()
         plain = tmp_path / "plain.csv"
         fresh = tmp_path / "fresh.csv"
         common = ["run", "--suite", "beale_n2", "--solver", "ours", "--noise", "uniform:1e-3",
                   "--gtol", "1e-2", "--kmax", "400", "--seeds", "0"]
-        assert runner.invoke(main, common + ["--out", str(plain), "--metric", "f_only"]).exit_code == 0
+        result = runner.invoke(main, common + ["--out", str(plain), "--metric", "f_only"])
+        assert result.exit_code == 2 and "No such option '--metric'" in result.output
+        assert not plain.exists()
+        assert runner.invoke(main, common + ["--out", str(plain)]).exit_code == 0
         assert runner.invoke(
             main, common + ["--out", str(fresh), "--fresh-fk", "--noise-grad-mode", "rank1"]
         ).exit_code == 0
         (r_plain,) = read_runs_csv(plain)
         (r_fresh,) = read_runs_csv(fresh)
-        assert r_plain.oracle_calls == r_plain.f_calls  # f_only metric
         # with --fresh-fk every iteration beyond the first spends one extra
         # objective call on top of its line-search trials
         assert r_fresh.iters >= 2
@@ -547,26 +572,50 @@ class TestBadSolverSettings:
         assert field in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("memory_size", True), ("memory_size", 2.0), ("k_max", True), ("k_max", False),
+            ("variant", ["ours"]), ("parallelism", True), ("seed", True), ("seed", False),
+            ("capacity", True), ("capacity", 2.5),
+        ],
+        ids=str,
+    )
+    def test_integer_settings_refuse_bools_and_non_integers(self, monkeypatch, field, value):
+        # A bool is an int, but True would run as 1: each integer setting is
+        # an int that is not a bool, refused when it is built.
+        monkeypatch.setattr(bench_mod, "_execute", None)
+        build = {
+            "memory_size": lambda v: SolverConfig(memory_size=v),
+            "k_max": lambda v: SolverConfig(k_max=v),
+            "variant": lambda v: SolverConfig(variant=v),
+            "parallelism": lambda v: run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0], parallelism=v),
+            "seed": lambda v: NoiseModel(seed=v),
+            "capacity": LbfgsMemory,
+        }[field]
+        with pytest.raises(ValueError, match=field):
+            build(value)
+
 
 PROFILE_RUNS = """\
-problem,solver,seed,status,oracle_calls,f_calls,g_calls,iters,final_f_bar,final_g_inf,wall_ms
-beale_n2,baseline_line,0,converged,120.0,100,20,19,0.001,0.009,1.5
-beale_n2,baseline_line,1,converged,150.0,125,25,24,0.002,0.008,1.5
-beale_n2,ours,0,converged,60.0,40,20,19,0.001,0.007,1.5
-beale_n2,ours,1,max_iters,inf,900,100,100,0.5,0.3,9.0
-beale_n2,ours,2,converged,75.0,50,25,24,0.001,0.006,1.5
-rosenbrock_n2,baseline_line,0,max_iters,inf,1000,101,100,1.0,2.0,9.0
-rosenbrock_n2,baseline_line,1,max_iters,inf,1000,101,100,1.0,2.0,9.0
-rosenbrock_n2,ours,0,converged,300.0,200,100,99,0.0001,0.005,4.0
-rosenbrock_n2,ours,1,converged,250.0,170,80,79,0.0001,0.005,4.0
-sphere_n10,baseline_line,0,converged,12.0,8,4,3,0.0,0.0,0.1
-sphere_n10,baseline_line,1,converged,12.0,8,4,3,0.0,0.0,0.1
-sphere_n10,ours,0,converged,10.0,6,4,3,0.0,0.0,0.1
-sphere_n10,ours,1,converged,11.0,7,4,3,0.0,0.0,0.1
-wood_n4,baseline_line,0,timeout,inf,10,5,4,1.0,1.0,600000.0
-wood_n4,baseline_line,1,oracle_error,inf,10,5,4,nan,nan,1.0
-wood_n4,ours,0,max_iters,inf,10,5,4,1.0,1.0,5.0
-wood_n4,ours,1,max_iters,inf,10,5,4,1.0,1.0,5.0
+problem,solver,seed,status,f_calls,g_calls,iters,final_f_bar,final_g_inf,wall_ms
+beale_n2,baseline_line,0,converged,100,20,19,0.001,0.009,1.5
+beale_n2,baseline_line,1,converged,125,25,24,0.002,0.008,1.5
+beale_n2,ours,0,converged,40,20,19,0.001,0.007,1.5
+beale_n2,ours,1,max_iters,900,100,100,0.5,0.3,9.0
+beale_n2,ours,2,converged,50,25,24,0.001,0.006,1.5
+rosenbrock_n2,baseline_line,0,max_iters,1000,101,100,1.0,2.0,9.0
+rosenbrock_n2,baseline_line,1,max_iters,1000,101,100,1.0,2.0,9.0
+rosenbrock_n2,ours,0,converged,200,100,99,0.0001,0.005,4.0
+rosenbrock_n2,ours,1,converged,170,80,79,0.0001,0.005,4.0
+sphere_n10,baseline_line,0,converged,8,4,3,0.0,0.0,0.1
+sphere_n10,baseline_line,1,converged,8,4,3,0.0,0.0,0.1
+sphere_n10,ours,0,converged,6,4,3,0.0,0.0,0.1
+sphere_n10,ours,1,converged,7,4,3,0.0,0.0,0.1
+wood_n4,baseline_line,0,timeout,10,5,4,1.0,1.0,600000.0
+wood_n4,baseline_line,1,oracle_error,10,5,4,nan,nan,1.0
+wood_n4,ours,0,max_iters,10,5,4,1.0,1.0,5.0
+wood_n4,ours,1,max_iters,10,5,4,1.0,1.0,5.0
 """
 
 
@@ -579,16 +628,16 @@ class TestProfileCommand:
         aggregations = []
         aggregate = bench_mod.aggregate_seeds
 
-        def counted(records):
-            aggregations.append(len(records))
-            return aggregate(records)
+        def counted(records, metric):
+            aggregations.append((len(records), metric))
+            return aggregate(records, metric)
 
         monkeypatch.setattr(bench_mod, "aggregate_seeds", counted)
         prof, svg = tmp_path / "profile.csv", tmp_path / "profile.svg"
         with pytest.warns(UserWarning, match="1 problem"):
             result = CliRunner().invoke(main, ["profile", "--in", str(runs), "--out", str(prof), "--svg", str(svg)])
         assert result.exit_code == 0, result.output
-        assert aggregations == [17]
+        assert aggregations == [(17, "both")]
         assert result.stdout == (
             "profiled 3 problems (1 dropped: failed for every solver)\n"
             "baseline_line: solves 67% of counted problems\n"
@@ -607,3 +656,33 @@ class TestProfileCommand:
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
             "bd3a6165f086f627233f6282a167376016a4ef897c3ead9094f88c5ae5a39b12"
         )
+
+    def test_one_run_profiles_under_both_metrics(self, tmp_path):
+        records = run_matrix(
+            ["sphere_n10", "beale_n2", "dixon_price_n10"], ["ours", "baseline_line"],
+            NoiseModel(kind="additive_uniform", level=1e-3), 1e-2, [0], base_cfg=SolverConfig(k_max=40),
+        )
+        assert {r.status for r in records} == {"converged", "max_iters"}
+        # One seed, so each (problem, solver) costs what its one run costs.
+        for r in records:
+            key = (r.problem, r.solver)
+            converged = r.status == "converged"
+            assert aggregate_seeds(records, "f_only")[key] == (r.f_calls if converged else INF)
+            assert aggregate_seeds(records, "both")[key] == (r.f_calls + r.g_calls if converged else INF)
+        runs = tmp_path / "runs.csv"
+        emit_csv(records, runs)
+        for metric in METRICS:
+            prof, expected = tmp_path / f"{metric}.csv", tmp_path / f"{metric}_lib.csv"
+            result = CliRunner().invoke(main, ["profile", "--in", str(runs), "--out", str(prof), "--metric", metric])
+            assert result.exit_code == 0, result.output
+            emit_csv(performance_profile(records, metric), expected)
+            assert prof.read_bytes() == expected.read_bytes()
+        assert (tmp_path / "f_only.csv").read_bytes() != (tmp_path / "both.csv").read_bytes()
+
+    def test_unknown_metric_is_a_usage_error(self, tmp_path):
+        runs, prof = tmp_path / "runs.csv", tmp_path / "profile.csv"
+        runs.write_text(PROFILE_RUNS)
+        result = CliRunner().invoke(main, ["profile", "--in", str(runs), "--out", str(prof), "--metric", "calls"])
+        assert result.exit_code == 2
+        assert "--metric" in error_line(result.output) and "'calls' is not one of" in error_line(result.output)
+        assert not prof.exists()

@@ -65,7 +65,7 @@ def push_random_pairs(rng, mem, n, count):
         s = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
         y = s * rng.uniform(0.05, 20.0, n)
         if len(pushed) % 2:
-            y = powell_damp(s, y - rng.uniform(0.0, 2.0) * s, mem.gamma)
+            y = powell_damp(s, y - rng.uniform(0.0, 2.0) * s, mem.shifted_gamma(0.0))
         pair = screen_pair(s, y)
         if pair is not None:
             mem.push(pair)
@@ -231,16 +231,16 @@ class TestMemory:
         s = np.array([1.0, 0.0])
         y = np.array([2.0, 0.0])  # sy = 2, yy = 4
         mem.push(curvature_pair(s, y))
-        assert mem.gamma == pytest.approx(2.0)
+        assert mem.shifted_gamma(0.0) == pytest.approx(2.0)
 
     def test_gamma_is_one_for_s_equals_y(self):
         mem = LbfgsMemory(10)
         v = np.array([3.0, 4.0])
         mem.push(curvature_pair(v, v))
-        assert mem.gamma == pytest.approx(1.0)
+        assert mem.shifted_gamma(0.0) == pytest.approx(1.0)
 
     def test_gamma_empty(self):
-        assert LbfgsMemory(10).gamma == 1.0
+        assert LbfgsMemory(10).shifted_gamma(0.0) == 1.0
         assert LbfgsMemory(3).shifted_gamma(0.5) == 1.5
 
     def test_ring_eviction_keeps_capacity_and_rescales(self):
@@ -252,7 +252,7 @@ class TestMemory:
             mem.push(pushed[-1])
         assert len(mem) == 3
         # oldest surviving pair is k=3: yy/sy = (k+1)^2 ||v||^2 / ((k+1) ||v||^2) = 4
-        assert mem.gamma == pytest.approx(4.0)
+        assert mem.shifted_gamma(0.0) == pytest.approx(4.0)
         g = np.array([1.0, -2.0])
         assert direction_bytes(mem, g) == reference_bytes(pushed[-3:], g)
 
@@ -272,7 +272,7 @@ class TestMemory:
         pushed += push_random_pairs(rng, mem, 4, 4)
         assert [(p.s.tobytes(), p.y_bar.tobytes(), p.sy, p.yy, p.ss) for p in pushed[:3]] == saved
         assert len(mem) == 3
-        assert mem.gamma == pushed[-3].yy / pushed[-3].sy
+        assert mem.shifted_gamma(0.0) == pushed[-3].yy / pushed[-3].sy
         assert direction_bytes(mem, g) == reference_bytes(pushed[-3:], g)
         # Another order or another window of the pushes gives other bits.
         assert direction_bytes(mem, g) != reference_bytes(pushed[-3:][::-1], g)
@@ -296,7 +296,7 @@ class TestMemory:
         g = np.array([1.0, 3.0])
         with pytest.raises(ValueError):
             mem.push(CurvaturePair(bad_s, bad_y, 1.0, 1.0, 1.0))
-        assert len(mem) == 1 and mem.gamma == pair.yy / pair.sy
+        assert len(mem) == 1 and mem.shifted_gamma(0.0) == pair.yy / pair.sy
         assert direction_bytes(mem, g) == reference_bytes([pair], g)
         with pytest.raises(ValueError):
             LbfgsMemory(3).push(CurvaturePair(np.ones(2), np.ones(3), 1.0, 1.0, 1.0))
@@ -373,7 +373,7 @@ class TestTwoLoopDirection:
         # The memory still holds the newest three pushes: the unshifted
         # direction after shifted ones reads the stored rows, not the shifted.
         other = rng.standard_normal(5)
-        assert len(mem) == 3 and mem.gamma == pushed[-3].yy / pushed[-3].sy
+        assert len(mem) == 3 and mem.shifted_gamma(0.0) == pushed[-3].yy / pushed[-3].sy
         assert direction_bytes(mem, other) == reference_bytes(pushed[-3:], other)
 
     def test_descent_property(self):

@@ -191,6 +191,28 @@ def test_model_validation():
             NoiseModel(seed=seed)
 
 
+@pytest.mark.parametrize(
+    "settings, field",
+    [
+        (dict(kind="exact", level=float("nan")), "level"),
+        (dict(kind="exact", level=-1.0), "level"),
+        (dict(kind="exact", level=1e-3), "level"),
+        (dict(kind="precision_cast", bits=32, level=1e-3), "level"),
+        (dict(kind="additive_uniform", level=1e-3, bits=7), "bits"),
+        (dict(kind="additive_uniform", level=1e-3, bits=32), "bits"),
+        (dict(kind="exact", bits=16), "bits"),
+        (dict(kind="precision_cast", bits=32.0), "bits"),
+        (dict(kind="precision_cast", bits=True), "bits"),
+    ],
+    ids=str,
+)
+def test_model_refuses_settings_its_kind_ignores(settings, field):
+    # A model says what it does: a level only for additive_uniform, a width
+    # below 64 bits only for precision_cast, and a width only as an int.
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**settings)
+
+
 def test_uniform_level_must_keep_its_range_finite():
     # The draws come from [-level, level]: numpy refuses a range whose width
     # 2 * level overflows, so the model refuses such a level up front.
