@@ -251,16 +251,21 @@ def performance_profile(records: Sequence[RunRecord], metric: str = METRICS[0]) 
 
     Curves are sampled at tau = 1 and at every distinct finite ratio; failed
     runs have infinite ratio and never enter any curve value. To profile
-    fewer solvers, pass only their records.
+    fewer solvers, pass only their records. Problems failed by every solver
+    are dropped with a warning that counts them.
     """
-    return _profile(records, metric)[0]
+    curves, _, dropped = _profile(records, metric)
+    if dropped:
+        warnings.warn(f"{len(dropped)} problem(s) failed for every solver and were dropped")
+    return curves
 
 
 def _profile(
     records: Sequence[RunRecord], metric: str = METRICS[0]
 ) -> tuple[list[ProfileCurve], list[str], list[str]]:
     """:func:`performance_profile` with the counted and dropped problems of
-    the one seed aggregation it runs."""
+    the one seed aggregation it runs, and no warning: its caller reports the
+    dropped ones."""
     solvers = list(dict.fromkeys(r.solver for r in records))
     agg = aggregate_seeds(records, metric)
     kept, dropped = [], []
@@ -273,8 +278,6 @@ def _profile(
             ratios[p] = [n / best for n in calls]
         else:
             dropped.append(p)
-    if dropped:
-        warnings.warn(f"{len(dropped)} problem(s) failed for every solver and were dropped")
     taus = sorted({1.0} | {v for row in ratios.values() for v in row if math.isfinite(v)})
     curves = []
     for i, s in enumerate(solvers):

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from .bench import METRICS, _plan, _profile, emit_csv, emit_svg, read_runs_csv, run_matrix, write_trace_csv
-from .noise import GRAD_MODES, NoiseModel
+from .noise import NoiseModel
 from .problems import suite_names
 from .solver import SolverConfig
 
@@ -33,16 +33,19 @@ def parse_seeds(spec: str) -> list[int]:
         raise click.BadParameter(f"{spec!r} is not N, a,b,c or lo..hi", param_hint="--seeds") from None
 
 
-def parse_noise(spec: str, grad_mode: str) -> NoiseModel:
-    """Accept ``exact``, ``uniform:LEVEL`` (LEVEL > 0) or ``cast:BITS`` (64, 32, 16)."""
+def parse_noise(spec: str) -> NoiseModel:
+    """Accept ``exact``, ``uniform:LEVEL`` (LEVEL > 0), ``uniform:LEVEL:MODE``
+    (MODE in ``noise.GRAD_MODES``) or ``cast:BITS`` (64, 32, 16)."""
     spec = spec.strip()
+    kind, *args = spec.split(":")
     try:
-        if spec == "exact":
-            return NoiseModel(kind="exact", grad_mode=grad_mode)
-        if spec.startswith("uniform:"):
-            return NoiseModel(kind="additive_uniform", level=float(spec.split(":", 1)[1]), grad_mode=grad_mode)
-        if spec.startswith("cast:"):
-            return NoiseModel(kind="precision_cast", bits=int(spec.split(":", 1)[1]), grad_mode=grad_mode)
+        if kind == "exact" and not args:
+            return NoiseModel()
+        if kind == "uniform" and 1 <= len(args) <= 2:
+            mode = args[1] if len(args) == 2 else NoiseModel.grad_mode
+            return NoiseModel(kind="additive_uniform", level=float(args[0]), grad_mode=mode)
+        if kind == "cast" and len(args) == 1:
+            return NoiseModel(kind="precision_cast", bits=int(args[0]))
     except ValueError as exc:
         raise click.BadParameter(f"{spec!r}: {exc}", param_hint="--noise") from None
     raise click.BadParameter(f"unknown noise spec {spec!r}", param_hint="--noise")
@@ -64,7 +67,7 @@ def main():
 @main.command("run")
 @click.option("--suite", default="desk", show_default=True, help="Suite name (desk|all) or comma-separated problem names.")
 @click.option("--solver", "solvers", default="ours,baseline_line", show_default=True, help="Comma-separated solver variants.")
-@click.option("--noise", default="exact", show_default=True, help="exact | uniform:LEVEL | cast:BITS")
+@click.option("--noise", default="exact", show_default=True, help="exact | uniform:LEVEL[:MODE] | cast:BITS")
 @click.option("--eps-f", default="auto", show_default=True, help="Objective error rate, or 'auto' for the model default.")
 @click.option("--gtol", type=float, default=1e-2, show_default=True, help="Gradient tolerance (infinity norm).")
 @click.option("--kmax", type=int, default=SolverConfig.k_max, show_default=True, help="Iteration cap.")
@@ -73,12 +76,9 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Output runs CSV.")
 @click.option("--trace-dir", type=click.Path(file_okay=False), default=None, help="Write one per-iteration trace CSV per run.")
 @click.option("--fresh-fk", is_flag=True, help="Re-evaluate the objective at each iterate instead of reusing the accepted trial value.")
-@click.option("--noise-grad-mode", type=click.Choice(GRAD_MODES), default=NoiseModel.grad_mode, show_default=True,
-              help="Uniform gradient noise per component or one shared draw.")
-def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path, trace_dir,
-                fresh_fk, noise_grad_mode):
+def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path, trace_dir, fresh_fk):
     """Run the benchmark matrix and write one CSV row per run."""
-    model = parse_noise(noise, noise_grad_mode)
+    model = parse_noise(noise)
     eps_f = parse_eps_f(eps_f)
     seed_list = parse_seeds(seeds)
     solver_list = [tok.strip() for tok in solvers.split(",") if tok.strip()]

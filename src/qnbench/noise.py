@@ -58,12 +58,14 @@ _FLOAT64 = np.dtype(np.float64)
 class NoiseModel:
     """Configuration of the injected evaluation noise.
 
-    ``level`` applies to ``additive_uniform`` only and lies in
-    ``(0, MAX_LEVEL]``, so that the draw range ``[-level, level]`` has a
-    finite width; every other kind keeps it at 0. ``bits`` is an ``int`` in
-    (64, 32, 16), and only ``precision_cast`` sets it below 64. ``grad_mode``
-    selects whether uniform gradient noise is drawn per component
-    (``percomp``) or as a single draw shared by all components (``rank1``).
+    ``level`` is an ``int`` or ``float``, not a ``bool``. It applies to
+    ``additive_uniform`` only and lies in ``(0, MAX_LEVEL]``, so that the
+    draw range ``[-level, level]`` has a finite width; every other kind keeps
+    it at 0. ``bits`` is an ``int`` in (64, 32, 16), and only
+    ``precision_cast`` sets it below 64. ``grad_mode`` selects whether
+    uniform gradient noise is drawn per component (``percomp``) or as a
+    single draw shared by all components (``rank1``); only
+    ``additive_uniform`` sets it to ``rank1``.
     ``seed`` is an ``int``, not a ``bool``, in ``[0, 2**64)``.
     """
 
@@ -76,6 +78,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        # A bool is a number, but True would draw from [-1, 1].
+        if not isinstance(self.level, (int, float, np.floating)) or isinstance(self.level, bool):
+            raise ValueError(f"level must be an int or float, got {self.level!r}")
         # A setting the kind ignores is refused, so a model says what it does.
         if self.kind == "additive_uniform":
             if not 0 < self.level <= MAX_LEVEL:
@@ -87,7 +92,9 @@ class NoiseModel:
         if self.bits != 64 and self.kind != "precision_cast":
             raise ValueError(f"bits applies to precision_cast only, got {self.bits!r} for {self.kind}")
         if self.grad_mode not in GRAD_MODES:
-            raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
+            raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
+        if self.grad_mode != GRAD_MODES[0] and self.kind != "additive_uniform":
+            raise ValueError(f"grad_mode applies to additive_uniform only, got {self.grad_mode!r} for {self.kind}")
         # A bool is an int, but True would seed the stream as 1.
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an int, got {self.seed!r}")

@@ -71,7 +71,11 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Per-run settings, validated when built. ``k_max`` is a run's only budget."""
+    """Per-run settings, validated when built. ``k_max`` is a run's only budget.
+
+    ``memory_size`` and ``k_max`` are ints, ``eps_gtol`` and ``eps_f`` ints or
+    floats, and ``fresh_fk`` a bool; a ``bool`` counts as none of the numbers.
+    """
 
     memory_size: int = 10
     k_max: int = 15000
@@ -86,6 +90,10 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
+        for name in ("eps_gtol", "eps_f"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float, np.floating)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int or float, got {value!r}")
         # Negated comparisons, so that NaN fails every float check.
         if not self.eps_gtol >= 0.0:
             raise ValueError(f"eps_gtol must be >= 0, got {self.eps_gtol!r}")
@@ -93,6 +101,9 @@ class SolverConfig:
             raise ValueError(f"eps_f must lie in [0, 1), got {self.eps_f!r}")
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
+        # A truthy string such as "no" would re-evaluate f at every iterate.
+        if not isinstance(self.fresh_fk, bool):
+            raise ValueError(f"fresh_fk must be a bool, got {self.fresh_fk!r}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+from dataclasses import replace
 from array import array
 
 import click
@@ -213,7 +214,9 @@ class TestPerformanceProfile:
         records += [rec("bad", s, status="timeout", calls=INF) for s in "AB"]
         with pytest.warns(UserWarning, match="dropped"):
             curves = performance_profile(records)
-            _, kept, dropped = _profile(records)
+        # _profile warns nothing: its caller, the profile command, reports
+        # the dropped problems itself.
+        _, kept, dropped = _profile(records)
         assert kept == ["good"] and dropped == ["bad"]
         for c in curves:
             assert c.rho_at(1.0) == 1.0  # |P| excludes the dropped problem
@@ -398,10 +401,13 @@ class TestCli:
                 parse_eps_f(spec)
 
     def test_parse_noise(self):
-        assert parse_noise("exact", "percomp").kind == "exact"
-        m = parse_noise("uniform:1e-3", "rank1")
+        assert parse_noise("exact") == NoiseModel()
+        m = parse_noise("uniform:1e-3:rank1")
         assert m.kind == "additive_uniform" and m.level == 1e-3 and m.grad_mode == "rank1"
-        m = parse_noise("cast:16", "percomp")
+        assert parse_noise("uniform:1e-3:percomp") == parse_noise("uniform:1e-3") == NoiseModel(
+            kind="additive_uniform", level=1e-3
+        )
+        m = parse_noise("cast:16")
         assert m.kind == "precision_cast" and m.bits == 16
 
     def test_run_and_profile_end_to_end(self, tmp_path):
@@ -470,6 +476,11 @@ class TestCli:
             ("--noise", "uniform:inf"),
             ("--noise", "uniform:1e308"),
             ("--noise", "gaussian"),
+            ("--noise", "exact:rank1"),
+            ("--noise", "cast:32:rank1"),
+            ("--noise", "uniform:1e-3:"),
+            ("--noise", "uniform:1e-3:bogus"),
+            ("--noise", "uniform:1e-3:rank1:x"),
             ("--kmax", "0"),
             ("--eps-f", "2"),
             ("--eps-f", "abc"),
@@ -513,26 +524,34 @@ class TestCli:
         assert not out.exists()
 
     def test_flag_passthrough(self, tmp_path):
-        # --fresh-fk and --noise-grad-mode must reach the solver layer.
-        # --metric is a profile option (TestProfileCommand), which run refuses.
+        # --fresh-fk and a --noise gradient mode must reach the solver layer.
+        # --metric is a profile option (TestProfileCommand), which run refuses,
+        # and the gradient mode is part of --noise, not an option of its own.
         runner = CliRunner()
-        plain = tmp_path / "plain.csv"
-        fresh = tmp_path / "fresh.csv"
+        plain, fresh, rank1 = tmp_path / "plain.csv", tmp_path / "fresh.csv", tmp_path / "rank1.csv"
         common = ["run", "--suite", "beale_n2", "--solver", "ours", "--noise", "uniform:1e-3",
                   "--gtol", "1e-2", "--kmax", "400", "--seeds", "0"]
-        result = runner.invoke(main, common + ["--out", str(plain), "--metric", "f_only"])
-        assert result.exit_code == 2 and "No such option '--metric'" in result.output
-        assert not plain.exists()
+        for option, value in (("--metric", "f_only"), ("--noise-grad-mode", "rank1")):
+            result = runner.invoke(main, common + ["--out", str(plain), option, value])
+            assert result.exit_code == 2 and f"No such option '{option}'" in result.output
+            assert not plain.exists()
         assert runner.invoke(main, common + ["--out", str(plain)]).exit_code == 0
-        assert runner.invoke(
-            main, common + ["--out", str(fresh), "--fresh-fk", "--noise-grad-mode", "rank1"]
-        ).exit_code == 0
-        (r_plain,) = read_runs_csv(plain)
+        assert runner.invoke(main, common + ["--out", str(fresh), "--fresh-fk"]).exit_code == 0
+        assert runner.invoke(main, common + ["--out", str(rank1), "--noise", "uniform:1e-3:rank1"]).exit_code == 0
         (r_fresh,) = read_runs_csv(fresh)
         # with --fresh-fk every iteration beyond the first spends one extra
         # objective call on top of its line-search trials
         assert r_fresh.iters >= 2
         assert r_fresh.f_calls >= 2 * r_fresh.iters
+
+        # --noise uniform:1e-3:rank1 runs the rank1 model: its record is the
+        # library's in every column but wall_ms, and not the percomp one.
+        model = NoiseModel(kind="additive_uniform", level=1e-3, grad_mode="rank1")
+        (expected,) = run_matrix(["beale_n2"], ["ours"], model, 1e-2, [0], base_cfg=SMALL_CFG)
+        (r_rank1,) = read_runs_csv(rank1)
+        (r_plain,) = read_runs_csv(plain)
+        assert replace(r_rank1, wall_ms=expected.wall_ms) == expected
+        assert replace(r_plain, wall_ms=expected.wall_ms) != expected
 
 
 class TestBadSolverSettings:
@@ -596,6 +615,33 @@ class TestBadSolverSettings:
         with pytest.raises(ValueError, match=field):
             build(value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fresh_fk", "no"), ("fresh_fk", 1), ("eps_gtol", True), ("eps_f", False), ("level", True),
+            ("eps_gtol", "1e-2"), ("eps_f", "0.01"), ("eps_gtol", None), ("level", "1e-3"),
+        ],
+        ids=str,
+    )
+    def test_settings_of_the_wrong_type_are_refused(self, field, value):
+        # fresh_fk is a bool ("no" is truthy), and each float setting an int or
+        # float that is not a bool; a string is refused by name, not by the
+        # TypeError of a comparison.
+        build = {
+            "fresh_fk": lambda v: SolverConfig(fresh_fk=v),
+            "eps_gtol": lambda v: SolverConfig(eps_gtol=v),
+            "eps_f": lambda v: SolverConfig(eps_f=v),
+            "level": lambda v: NoiseModel(kind="additive_uniform", level=v),
+        }[field]
+        with pytest.raises(ValueError, match=field):
+            build(value)
+
+    def test_float_settings_take_ints_and_numpy_floats(self):
+        cfg = SolverConfig(eps_gtol=np.float32(1e-2), eps_f=0, fresh_fk=True)
+        assert (cfg.eps_gtol, cfg.eps_f, cfg.fresh_fk) == (np.float32(1e-2), 0, True)
+        assert NoiseModel(kind="additive_uniform", level=np.float64(1e-3)).level == 1e-3
+        assert NoiseModel(kind="additive_uniform", level=1).level == 1
+
 
 PROFILE_RUNS = """\
 problem,solver,seed,status,f_calls,g_calls,iters,final_f_bar,final_g_inf,wall_ms
@@ -634,8 +680,9 @@ class TestProfileCommand:
 
         monkeypatch.setattr(bench_mod, "aggregate_seeds", counted)
         prof, svg = tmp_path / "profile.csv", tmp_path / "profile.svg"
-        with pytest.warns(UserWarning, match="1 problem"):
-            result = CliRunner().invoke(main, ["profile", "--in", str(runs), "--out", str(prof), "--svg", str(svg)])
+        # One problem is dropped, and the summary line alone says so: a
+        # warning would be an error here.
+        result = CliRunner().invoke(main, ["profile", "--in", str(runs), "--out", str(prof), "--svg", str(svg)])
         assert result.exit_code == 0, result.output
         assert aggregations == [(17, "both")]
         assert result.stdout == (

@@ -203,12 +203,15 @@ def test_model_validation():
         (dict(kind="exact", bits=16), "bits"),
         (dict(kind="precision_cast", bits=32.0), "bits"),
         (dict(kind="precision_cast", bits=True), "bits"),
+        (dict(kind="exact", grad_mode="rank1"), "grad_mode"),
+        (dict(kind="precision_cast", bits=32, grad_mode="rank1"), "grad_mode"),
     ],
     ids=str,
 )
 def test_model_refuses_settings_its_kind_ignores(settings, field):
-    # A model says what it does: a level only for additive_uniform, a width
-    # below 64 bits only for precision_cast, and a width only as an int.
+    # A model says what it does: a level and a rank1 gradient only for
+    # additive_uniform, a width below 64 bits only for precision_cast, and a
+    # width only as an int.
     with pytest.raises(ValueError, match=field):
         NoiseModel(**settings)
 

@@ -1,11 +1,13 @@
-"""The README's Python examples run as written, and its lists of settings and
-CSV columns are the code's, so neither can drift from the API."""
+"""The README's Python examples run as written, and its lists of settings,
+CSV columns and command options are the code's, so none can drift from the
+API."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
 from qnbench.bench import RUNS_HEADER, TRACE_HEADER
+from qnbench.cli import main
 from qnbench.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -27,3 +29,10 @@ def test_readme_lists_the_solver_settings_and_csv_headers():
     assert re.findall(r"`(\w+)`", settings) == [f.name for f in fields(SolverConfig)]
     assert re.findall(r"`(problem,[\w,]*)`", text) == [",".join(RUNS_HEADER)]
     assert re.findall(r"`(k,[\w,]*)`", text) == [",".join(TRACE_HEADER)]
+
+
+def test_readme_names_exactly_the_command_options():
+    # A removed option cannot linger in the docs, nor a new one go unnamed.
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
+    options = {opt for command in ("run", "profile") for param in main.commands[command].params for opt in param.opts}
+    assert named == options
