@@ -56,10 +56,9 @@ class RunRecord:
     wall_ms: float
 
 
-# A CSV column per record field, in field order; the trace CSV calls
-# ``set_label`` "set".
+# A CSV column per record field, in field order.
 RUNS_HEADER = [f.name for f in fields(RunRecord)]
-TRACE_HEADER = ["set" if f.name == "set_label" else f.name for f in fields(IterationRecord)]
+TRACE_HEADER = [f.name for f in fields(IterationRecord)]
 PROFILE_HEADER = ["solver", "tau", "rho"]
 
 
@@ -87,12 +86,12 @@ def derive_oracle_seed(problem_name: str, seed: int) -> int:
 
 
 def _execute(task, keep_trace: bool):
-    name, variant, seed, model, cfg = task
+    name, seed, model, cfg = task
     problem = get_problem(name)
     t0 = time.perf_counter()
     res = solve(problem, model, cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    record = record_from_result(name, variant, seed, res, wall_ms)
+    record = record_from_result(name, cfg.variant, seed, res, wall_ms)
     return record, (res.trace if keep_trace else None)
 
 
@@ -126,8 +125,8 @@ def _plan(
     """Every refusal :func:`run_matrix` makes, and its task list.
 
     Takes :func:`run_matrix`'s arguments but ``keep_traces`` and raises what
-    it raises before any run. Returns one ``(problem, solver, seed, oracle
-    model, config)`` task per triple, in matrix order.
+    it raises before any run. Returns one ``(problem, seed, oracle model,
+    config)`` task per triple, in matrix order; the config names the solver.
     """
     if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
         raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
@@ -149,13 +148,19 @@ def _plan(
             raise ValueError(f"seed {seed} outside [0, 2**63)")
     for name in suite:
         get_problem(name)
-    eps_f_val = default_eps_f(noise) if eps_f == "auto" else float(eps_f)
     cfg0 = base_cfg if base_cfg is not None else SolverConfig()
+    # Each run sets these itself, so a value given here would be lost.
+    for name in ("eps_gtol", "eps_f", "variant"):
+        if getattr(cfg0, name) != getattr(SolverConfig, name):
+            raise ValueError(f"base_cfg.{name} is set per run and must keep its default, got {getattr(cfg0, name)!r}")
+    if noise.seed != 0:
+        raise ValueError(f"noise.seed is derived per run and must be 0, got {noise.seed!r}")
+    eps_f_val = default_eps_f(noise) if eps_f == "auto" else eps_f
     cfgs = [replace(cfg0, variant=s, eps_gtol=eps_gtol, eps_f=eps_f_val) for s in solvers]
     return [
-        (name, solver_name, seed, replace(noise, seed=derive_oracle_seed(name, seed)), cfg)
+        (name, seed, replace(noise, seed=derive_oracle_seed(name, seed)), cfg)
         for name in suite
-        for solver_name, cfg in zip(solvers, cfgs)
+        for cfg in cfgs
         for seed in seeds
     ]
 
@@ -179,9 +184,10 @@ def run_matrix(
     trace is returned alongside. No file is written. ``eps_f="auto"``
     resolves to the model's default error rate. Every task runs ``base_cfg``
     (``SolverConfig()`` when omitted) with its ``eps_gtol``, ``eps_f`` and
-    ``variant`` replaced by this call's ``eps_gtol``, resolved ``eps_f`` and
-    the task's solver name. A record holds no cost: a profile prices it
-    (see :func:`aggregate_seeds`).
+    ``variant`` set from this call's ``eps_gtol``, resolved ``eps_f`` and
+    the task's solver name, under ``noise`` with its ``seed`` derived from
+    the problem and the run seed. A record holds no cost: a profile prices
+    it (see :func:`aggregate_seeds`).
 
     These fail before any run, with a ``ValueError`` unless noted:
 
@@ -191,8 +197,12 @@ def run_matrix(
     - a seed that is not an ``int`` (a ``bool`` included) or lies outside
       ``[0, SEED_LIMIT)``;
     - an unknown problem name (``KeyError``);
-    - a setting ``SolverConfig`` refuses, such as an unknown solver name or
-      an ``eps_gtol`` or ``eps_f`` out of range.
+    - a ``base_cfg`` whose ``eps_gtol``, ``eps_f`` or ``variant`` is not
+      ``SolverConfig``'s default, or a ``noise`` whose ``seed`` is not 0:
+      each run sets these itself;
+    - a setting ``SolverConfig`` refuses, such as an unknown solver name, an
+      ``eps_gtol`` or ``eps_f`` out of range, or an ``eps_f`` other than
+      ``"auto"`` that is not an int or float.
 
     An exception raised during a run propagates unchanged.
     """

@@ -95,11 +95,14 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
                        parallelism="--jobs", seed="--seeds", problem="--suite")
         option = next((options[word] for word in exc.args[0].split() if word in options), None)
         raise click.UsageError(f"{option}: {exc.args[0]}" if option else exc.args[0]) from None
+    # Make the output directories first, so that a run's results are not
+    # lost for want of one.
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     if trace_dir is None:
         records = run_matrix(*matrix, **settings)
     else:
-        records, traces = run_matrix(*matrix, **settings, keep_traces=True)
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
+        records, traces = run_matrix(*matrix, **settings, keep_traces=True)
         for (problem, solver, seed), trace in traces.items():
             write_trace_csv(trace, Path(trace_dir, f"{problem}__{solver}__seed{seed}.csv"))
     emit_csv(records, out_path)

@@ -209,7 +209,8 @@ class LbfgsMemory:
         as they are. The result is bitwise that of the recursion over
         per-pair vectors (see the module docstring).
         """
-        if mu < 0.0:
+        # Negated, so that a NaN shift is refused too.
+        if not mu >= 0.0:
             raise ValueError("mu must be nonnegative")
         g = np.asarray(g, dtype=float)
         order = self._order

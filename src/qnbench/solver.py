@@ -112,47 +112,40 @@ class IterationRecord:
     f_bar: float
     g_inf: float
     g_two: float
-    mu: float
+    mu: float  # 0.0 exactly on a K0 iteration, and on every baseline one
     alpha: float
     delta: float
-    set_label: str  # "K0" when mu == 0, else "Kplus"
     rejections: int
     f_calls: int  # oracle totals at the end of the iteration
     g_calls: int
 
 
-# The stored trace columns: every IterationRecord field but the position
-# ``k`` (the first field) and ``set_label``, which follows from ``mu``.
-_FIELDS = [f.name for f in fields(IterationRecord)]
-_COLUMNS = tuple(name for name in _FIELDS if name not in ("k", "set_label"))
+# The stored trace columns: every IterationRecord field after the position
+# ``k``, which is the first.
+_COLUMNS = tuple(f.name for f in fields(IterationRecord))[1:]
 _HINTS = get_type_hints(IterationRecord)
 # The typecode of each open column, which ``solve`` appends to.
 _TYPECODES = tuple({int: "q", float: "d"}[_HINTS[name]] for name in _COLUMNS)
-_MU = _COLUMNS.index("mu")
-_LABEL_AT = _FIELDS.index("set_label") - 1  # among the fields after ``k``
 
 
 class _Zeros:
-    """A trace column whose every byte was zero: just its length.
+    """A trace column whose every byte was zero: its zero and its length.
 
-    Reads give back the zero of ``typecode``: ``0`` for ``'B'`` and ``0.0``
-    (``+0.0``) for ``'d'``.
+    Reads give back the zero, ``0`` for an int column and ``0.0`` (``+0.0``)
+    for a float one, at any index: the trace resolves every index before it
+    reads, and never iterates a column, which here would not stop.
     """
 
-    __slots__ = ("typecode", "_zero", "_n")
-    itemsize = 0
+    __slots__ = ("_zero", "_n")
 
-    def __init__(self, typecode: str, n: int):
-        self.typecode = typecode
-        self._zero = array(typecode, [0])[0]
+    def __init__(self, zero, n: int):
+        self._zero = zero
         self._n = n
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, k: int):
-        if not -self._n <= k < self._n:
-            raise IndexError("column index out of range")
         return self._zero
 
 
@@ -165,7 +158,7 @@ def _compact(column: array):
     values; a float column is kept as it is.
     """
     if column.tobytes().count(0) == len(column) * column.itemsize:
-        return _Zeros("B" if column.typecode == "q" else column.typecode, len(column))
+        return _Zeros(array(column.typecode, [0])[0], len(column))
     if column.typecode == "q":
         for code in "BHI":
             try:
@@ -184,9 +177,8 @@ class Trace(Sequence):
     an int), all of one length. A column whose bytes are all zero (only
     ``+0.0``, or only ``0``) keeps just its length; an int column is copied
     into the narrowest of ``'B'``, ``'H'``, ``'I'`` and ``'q'`` that holds
-    it; so a row takes 0 to 72 bytes. ``k`` is the position and
-    ``set_label`` follows from ``mu``, so neither is stored. A trace equals
-    any sequence of equal records, in order.
+    it; so a row takes 0 to 72 bytes. ``k`` is the position, so it is not
+    stored. A trace equals any sequence of equal records, in order.
     """
 
     __slots__ = ("_columns",)
@@ -197,9 +189,7 @@ class Trace(Sequence):
         self._columns = [_compact(column) for column in columns]
 
     def _record(self, k: int) -> IterationRecord:
-        values = [column[k] for column in self._columns]
-        values.insert(_LABEL_AT, "K0" if values[_MU] == 0.0 else "Kplus")
-        return IterationRecord(k, *values)
+        return IterationRecord(k, *[column[k] for column in self._columns])
 
     def __len__(self) -> int:
         return len(self._columns[0])

@@ -147,7 +147,7 @@ def _replay_kplus_segments(trace):
     best = math.inf
     segments = [[]]
     for rec in trace:
-        if rec.set_label == "K0":
+        if rec.mu == 0.0:
             if math.isfinite(best) and best - rec.f_bar > RESTART_DROP:
                 segments.append([])
             best = min(best, rec.f_bar - rec.delta)
@@ -259,7 +259,7 @@ def test_criterion_7_line_search_invariants(noise_bench):
             recomputed = compute_delta(NOISE_EPS_F, a.f_bar, b.f_bar)
             assert recomputed == a.delta, (problem, seed, a.k)
             n_deltas += 1
-        k0 = [rec for rec in trace if rec.set_label == "K0"]
+        k0 = [rec for rec in trace if rec.mu == 0.0]
         for a, b in zip(k0, k0[1:]):
             assert b.f_bar <= a.f_bar - a.delta, (problem, seed, a.k, b.k)
             n_tele += 1

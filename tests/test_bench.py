@@ -1,7 +1,7 @@
 import copy
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from array import array
 
 import click
@@ -264,14 +264,14 @@ class TestCsv:
         )
         path = tmp_path / "trace.csv"
         write_trace_csv([], path)
-        assert path.read_bytes() == b"k,f_bar,g_inf,g_two,mu,alpha,delta,set,rejections,f_calls,g_calls\r\n"
+        assert path.read_bytes() == b"k,f_bar,g_inf,g_two,mu,alpha,delta,rejections,f_calls,g_calls\r\n"
 
     def test_zero_iteration_trace_is_header_only(self, tmp_path):
         records, traces = run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1.0, [0], keep_traces=True)
         assert records[0].status == "converged" and records[0].iters == 0
         path = tmp_path / "trace.csv"
         write_trace_csv(traces[("sphere_n10", "ours", 0)], path)
-        assert path.read_bytes() == b"k,f_bar,g_inf,g_two,mu,alpha,delta,set,rejections,f_calls,g_calls\r\n"
+        assert path.read_bytes() == b"k,f_bar,g_inf,g_two,mu,alpha,delta,rejections,f_calls,g_calls\r\n"
         assert read_trace_csv(path) == []
 
     def test_nonfinite_values_round_trip(self, tmp_path):
@@ -285,10 +285,17 @@ class TestCsv:
         emit_csv([], runs)
         write_trace_csv([], trace)
         empty.write_text("")
+        # An older trace file still holds the set column, which mu == 0.0
+        # replaced.
+        old_trace = tmp_path / "old_trace.csv"
+        old_trace.write_text(
+            "k,f_bar,g_inf,g_two,mu,alpha,delta,set,rejections,f_calls,g_calls\n"
+            "0,1.0,1.0,1.0,0.0,1.0,0.0,K0,0,2,1\n"
+        )
         for path in (trace, empty):
             with pytest.raises(ValueError, match="unexpected runs header"):
                 read_runs_csv(path)
-        for path in (runs, empty):
+        for path in (runs, empty, old_trace):
             with pytest.raises(ValueError, match="unexpected trace header"):
                 read_trace_csv(path)
 
@@ -454,6 +461,36 @@ class TestCli:
             assert r.iters == len(loaded) > 0
             assert (loaded[-1].f_calls, loaded[-1].g_calls) == (r.f_calls, r.g_calls)
 
+    def test_output_directories_are_made_after_the_refusals_and_before_the_runs(self, tmp_path):
+        # A matrix's results are not lost for want of a directory, and a
+        # usage error still writes nothing.
+        runs, traces = tmp_path / "a" / "b" / "runs.csv", tmp_path / "t" / "u"
+        args = ["run", "--suite", "sphere_n10", "--solver", "ours", "--kmax", "5",
+                "--out", str(runs), "--trace-dir", str(traces)]
+        result = CliRunner().invoke(main, args + ["--jobs", "0"])
+        assert result.exit_code == 2, result.output
+        assert list(tmp_path.iterdir()) == []
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert [(r.problem, r.solver, r.seed) for r in read_runs_csv(runs)] == [("sphere_n10", "ours", 0)]
+        assert [p.name for p in traces.iterdir()] == ["sphere_n10__ours__seed0.csv"]
+
+    @pytest.mark.parametrize("option, name", [("--out", "runs.csv"), ("--trace-dir", "traces")])
+    def test_an_output_below_a_file_fails_before_any_run(self, monkeypatch, tmp_path, option, name):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench_mod, "_execute", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        args = ["run", "--suite", "sphere_n10", "--kmax", "5", "--out", str(tmp_path / "runs.csv"),
+                option, str(blocker / name)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, OSError), result.exception
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert blocker.read_text() == "kept"
+
     def test_unknown_problem_is_usage_error(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["run", "--suite", "not_a_problem", "--out", str(tmp_path / "r.csv")])
@@ -554,9 +591,53 @@ class TestCli:
         assert replace(r_plain, wall_ms=expected.wall_ms) != expected
 
 
+# One valid non-default value for each field of the settings that reach
+# run_matrix, and its fate there: a "kept" value reaches every task's config
+# or noise model unchanged; each run sets the "refused" ones itself, so
+# run_matrix refuses them by name before any run.
+MATRIX_SETTINGS = [
+    (SolverConfig, "memory_size", dict(memory_size=3), "kept"),
+    (SolverConfig, "k_max", dict(k_max=200), "kept"),
+    (SolverConfig, "eps_gtol", dict(eps_gtol=3.0), "refused"),
+    (SolverConfig, "eps_f", dict(eps_f=0.5), "refused"),
+    (SolverConfig, "variant", dict(variant="baseline_line_ms"), "refused"),
+    (SolverConfig, "fresh_fk", dict(fresh_fk=True), "kept"),
+    (NoiseModel, "kind", dict(kind="precision_cast"), "kept"),
+    (NoiseModel, "level", dict(kind="additive_uniform", level=1e-3), "kept"),
+    (NoiseModel, "bits", dict(kind="precision_cast", bits=32), "kept"),
+    (NoiseModel, "seed", dict(seed=12345), "refused"),
+    (NoiseModel, "grad_mode", dict(kind="additive_uniform", level=1e-3, grad_mode="rank1"), "kept"),
+]
+
+
 class TestBadSolverSettings:
     """A bad per-run setting fails before any run: at the config, in
     ``run_matrix`` and as a ``qnbench run`` usage error."""
+
+    @pytest.mark.parametrize(("cls", "name", "kwargs", "fate"), MATRIX_SETTINGS, ids=[row[1] for row in MATRIX_SETTINGS])
+    def test_a_setting_reaches_every_run_or_is_refused_before_any(self, monkeypatch, cls, name, kwargs, fate):
+        def no_run(*args, **kw):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench_mod, "_execute", no_run)
+        setting = cls(**kwargs)
+        base_cfg, noise = (setting, NoiseModel()) if cls is SolverConfig else (None, setting)
+        matrix = (["sphere_n10", "beale_n2"], ["ours", "baseline_line"], noise, 1e-2, [0, 1])
+        if fate == "refused":
+            with pytest.raises(ValueError, match=rf"\.{name} "):
+                run_matrix(*matrix, base_cfg=base_cfg)
+        else:
+            tasks = bench_mod._plan(*matrix, 1, eps_f="auto", base_cfg=base_cfg)
+            assert len(tasks) == 8
+            for task in tasks:
+                (part,) = [v for v in task if isinstance(v, cls)]
+                assert getattr(part, name) == getattr(setting, name)
+
+    def test_the_matrix_settings_table_classifies_every_field(self):
+        # A field added later fails here until MATRIX_SETTINGS says whether
+        # run_matrix keeps it or refuses it, so none is overwritten silently.
+        for cls in (SolverConfig, NoiseModel):
+            assert [name for c, name, _, _ in MATRIX_SETTINGS if c is cls] == [f.name for f in fields(cls)]
 
     @pytest.mark.parametrize(
         "eps_gtol, eps_f",
@@ -620,10 +701,11 @@ class TestBadSolverSettings:
         [
             ("fresh_fk", "no"), ("fresh_fk", 1), ("eps_gtol", True), ("eps_f", False), ("level", True),
             ("eps_gtol", "1e-2"), ("eps_f", "0.01"), ("eps_gtol", None), ("level", "1e-3"),
+            ("run_matrix.eps_f", False), ("run_matrix.eps_f", "0.01"),
         ],
         ids=str,
     )
-    def test_settings_of_the_wrong_type_are_refused(self, field, value):
+    def test_settings_of_the_wrong_type_are_refused(self, monkeypatch, field, value):
         # fresh_fk is a bool ("no" is truthy), and each float setting an int or
         # float that is not a bool; a string is refused by name, not by the
         # TypeError of a comparison.
@@ -632,8 +714,11 @@ class TestBadSolverSettings:
             "eps_gtol": lambda v: SolverConfig(eps_gtol=v),
             "eps_f": lambda v: SolverConfig(eps_f=v),
             "level": lambda v: NoiseModel(kind="additive_uniform", level=v),
+            # run_matrix passes an eps_f other than "auto" on unchanged.
+            "run_matrix.eps_f": lambda v: run_matrix(["sphere_n10"], ["ours"], NoiseModel(), 1e-2, [0], eps_f=v),
         }[field]
-        with pytest.raises(ValueError, match=field):
+        monkeypatch.setattr(bench_mod, "_execute", None)
+        with pytest.raises(ValueError, match=field.rpartition(".")[2]):
             build(value)
 
     def test_float_settings_take_ints_and_numpy_floats(self):

@@ -1,3 +1,4 @@
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -319,9 +320,10 @@ class TestTwoLoopDirection:
         d = mem.direction(np.array([0.0, 1.0]), 0.0)
         assert d == pytest.approx([0.0, -1.0])
 
-    def test_negative_mu_rejected(self):
-        with pytest.raises(ValueError):
-            LbfgsMemory(10).direction(np.ones(2), -0.5)
+    @pytest.mark.parametrize("mu", [-0.5, math.nan])
+    def test_negative_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            LbfgsMemory(10).direction(np.ones(2), mu)
 
     @pytest.mark.parametrize("sy", [0.0, -1.0])
     def test_pair_without_positive_curvature_refused(self, sy):

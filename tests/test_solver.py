@@ -117,7 +117,6 @@ def test_trace_invariants_on_noisy_run():
     trace = res.trace
     assert trace
     for rec in trace:
-        assert (rec.mu == 0.0) == (rec.set_label == "K0")
         assert rec.mu >= 0.0
         assert 0.0 < rec.alpha <= 1.0
         assert rec.delta >= 0.0

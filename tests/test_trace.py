@@ -37,10 +37,14 @@ def build(rows):
             column.append(value)
         records.append(IterationRecord(
             k=k, f_bar=f_bar, g_inf=g_inf, g_two=g_two, mu=mu, alpha=alpha, delta=delta,
-            set_label="K0" if mu == 0.0 else "Kplus",
             rejections=rejections, f_calls=f_calls, g_calls=g_calls,
         ))
     return Trace(columns), records
+
+
+def widths(trace):
+    """Bytes per row of each stored column: 0 for a zero-width one."""
+    return [c.itemsize if isinstance(c, array) else 0 for c in trace._columns]
 
 
 def reprs(records):
@@ -65,7 +69,6 @@ def test_sequence_behaviour_matches_a_list_of_the_records(rows, start, stop, ste
                 trace[i]
     assert trace[start:stop:step] == records[start:stop:step]
     assert trace[:] == records
-    assert [r.set_label for r in trace] == ["K0" if row[3] == 0.0 else "Kplus" for row in rows]
     assert [r.k for r in trace] == list(range(n))
     assert trace == records and records == trace
     assert not (trace != records)
@@ -104,7 +107,7 @@ def test_int_columns_widen_to_every_boundary_value(name):
     assert [getattr(r, name) for r in trace] == values
     assert all(type(getattr(r, f)) is int for r in trace for f in INT_FIELDS)
     # Only the column that holds the wide values was widened.
-    assert [c.itemsize for c in trace._columns[-3:]] == [8 if f == name else 1 for f in INT_FIELDS]
+    assert widths(trace)[-3:] == [8 if f == name else 1 for f in INT_FIELDS]
     # A value beyond 'q' does not enter the open column.
     with pytest.raises(OverflowError):
         build([(*floats, *(2**63 if f == name else 3 for f in INT_FIELDS))])
@@ -124,20 +127,20 @@ FIRST_VALUES = [
 def test_zero_width_column_materializes_at_its_first_other_value(name, value, itemsize, k):
     i = STORED.index(name)
     zeros, _ = build([ZERO_ROW] * k)
-    assert [c.itemsize for c in zeros._columns] == [0] * len(STORED)
+    assert widths(zeros) == [0] * len(STORED)
     rows = [ZERO_ROW] * k + [ZERO_ROW[:i] + (value,) + ZERO_ROW[i + 1:]] + [ZERO_ROW] * 2
     trace, records = build(rows)
     assert reprs(trace) == reprs(records)
     assert [repr(getattr(r, name)) for r in trace] == [repr(ZERO_ROW[i])] * k + [repr(value)] + [repr(ZERO_ROW[i])] * 2
     assert reprs(pickle.loads(pickle.dumps(trace))) == reprs(records)
     # Only this column stores its values; the others still hold just a count.
-    assert [c.itemsize for c in trace._columns] == [itemsize if j == i else 0 for j in range(len(STORED))]
+    assert widths(trace) == [itemsize if j == i else 0 for j in range(len(STORED))]
 
 
 def test_a_false_flag_keeps_an_int_column_zero_width():
     trace, _ = build([ZERO_ROW[:6] + (False, 0, False)] * 3)
-    assert [c.itemsize for c in trace._columns] == [0] * len(STORED)
-    # Read back as an array('B') would give it: the int 0.
+    assert widths(trace) == [0] * len(STORED)
+    # Read back as the int 0, the zero of the column's own typecode.
     assert reprs(trace) == reprs(build([ZERO_ROW] * 3)[1])
 
 
@@ -155,7 +158,8 @@ def test_solver_trace_round_trips_through_pickle_and_csv(tmp_path):
     res = solve(get_problem("ext_rosenbrock_n10"), model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300))
     trace = res.trace
     assert isinstance(trace, Trace)
-    assert {r.set_label for r in trace} == {"K0", "Kplus"}
+    # The run has K0 iterations (mu == 0) and K+ ones.
+    assert {r.mu == 0.0 for r in trace} == {True, False}
     back = pickle.loads(pickle.dumps(trace))
     assert isinstance(back, Trace) and back == trace
     for name in Trace.__slots__:
@@ -170,14 +174,14 @@ def test_baseline_trace_round_trips_through_pickle_and_csv_byte_for_byte(tmp_pat
     cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="baseline_line")
     trace = solve(get_problem("ext_rosenbrock_n10"), model, cfg).trace
     # The baseline has no shift and no Armijo slack: mu and delta are never stored.
-    assert [c.itemsize for c in trace._columns] == [8, 8, 8, 0, 8, 0, 1, 2, 2]
+    assert widths(trace) == [8, 8, 8, 0, 8, 0, 1, 2, 2]
     back = pickle.loads(pickle.dumps(trace))
     assert isinstance(back, Trace) and reprs(back) == reprs(trace)
     # The same rows with every column materialized, as the columns were stored
     # before zero-width columns.
     stored = Trace.__new__(Trace)
-    stored._columns = [array(c.typecode, c) for c in trace._columns]
-    assert [c.itemsize for c in stored._columns] == [8, 8, 8, 8, 8, 8, 1, 2, 2]
+    stored._columns = [array(code, [getattr(r, name) for r in trace]) for code, name in zip("ddddddBHH", STORED)]
+    assert widths(stored) == [8, 8, 8, 8, 8, 8, 1, 2, 2]
     for name, t in (("trace", trace), ("pickled", back), ("stored", stored), ("records", list(trace))):
         write_trace_csv(t, tmp_path / f"{name}.csv")
     expected = (tmp_path / "stored.csv").read_bytes()
