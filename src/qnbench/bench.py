@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence, get_type_hints
 
 from .noise import NoiseModel, default_eps_f
 from .problems import get_problem
-from .solver import IterationRecord, SolveResult, SolverConfig, solve
+from .solver import VARIANTS, IterationRecord, SolveResult, SolverConfig, solve
 
 INF = math.inf
 
@@ -126,7 +126,9 @@ def _plan(
 
     Takes :func:`run_matrix`'s arguments but ``keep_traces`` and raises what
     it raises before any run. Returns one ``(problem, seed, oracle model,
-    config)`` task per triple, in matrix order; the config names the solver.
+    config)`` task per triple, in matrix order; the config names the solver,
+    and holds the resolved ``eps_f`` when the solver has a slack and 0
+    otherwise.
     """
     if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
         raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
@@ -155,8 +157,12 @@ def _plan(
             raise ValueError(f"base_cfg.{name} is set per run and must keep its default, got {getattr(cfg0, name)!r}")
     if noise.seed != 0:
         raise ValueError(f"noise.seed is derived per run and must be 0, got {noise.seed!r}")
-    eps_f_val = default_eps_f(noise) if eps_f == "auto" else eps_f
-    cfgs = [replace(cfg0, variant=s, eps_gtol=eps_gtol, eps_f=eps_f_val) for s in solvers]
+    # A given eps_f is checked even when no listed solver takes it.
+    eps_f_val = default_eps_f(noise) if eps_f == "auto" else replace(cfg0, eps_gtol=eps_gtol, eps_f=eps_f).eps_f
+    cfgs = [replace(cfg0, variant=s, eps_gtol=eps_gtol) for s in solvers]
+    if eps_f != "auto" and eps_f_val != 0.0 and not any(VARIANTS[cfg.variant][0] for cfg in cfgs):
+        raise ValueError(f"eps_f {eps_f_val!r} is the slack of the regularized variants, and no listed solver has one")
+    cfgs = [replace(cfg, eps_f=eps_f_val) if VARIANTS[cfg.variant][0] else cfg for cfg in cfgs]
     return [
         (name, seed, replace(noise, seed=derive_oracle_seed(name, seed)), cfg)
         for name in suite
@@ -183,11 +189,13 @@ def run_matrix(
     ``keep_traces`` a dict mapping (problem, solver, seed) to the iteration
     trace is returned alongside. No file is written. ``eps_f="auto"``
     resolves to the model's default error rate. Every task runs ``base_cfg``
-    (``SolverConfig()`` when omitted) with its ``eps_gtol``, ``eps_f`` and
-    ``variant`` set from this call's ``eps_gtol``, resolved ``eps_f`` and
-    the task's solver name, under ``noise`` with its ``seed`` derived from
-    the problem and the run seed. A record holds no cost: a profile prices
-    it (see :func:`aggregate_seeds`).
+    (``SolverConfig()`` when omitted) with its ``eps_gtol`` and ``variant``
+    set from this call's ``eps_gtol`` and the task's solver name, under
+    ``noise`` with its ``seed`` derived from the problem and the run seed.
+    The resolved ``eps_f`` is the slack of the relaxed Armijo test, so it
+    reaches only the regularized solvers; every other solver runs with
+    ``eps_f = 0``. A record holds no cost: a profile prices it (see
+    :func:`aggregate_seeds`).
 
     These fail before any run, with a ``ValueError`` unless noted:
 
@@ -202,7 +210,10 @@ def run_matrix(
       each run sets these itself;
     - a setting ``SolverConfig`` refuses, such as an unknown solver name, an
       ``eps_gtol`` or ``eps_f`` out of range, or an ``eps_f`` other than
-      ``"auto"`` that is not an int or float.
+      ``"auto"`` that is not an int or float, even when no listed solver
+      takes it;
+    - a nonzero ``eps_f`` other than ``"auto"`` when no listed solver is
+      regularized, since none would run with it.
 
     An exception raised during a run propagates unchanged.
     """

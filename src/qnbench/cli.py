@@ -35,7 +35,7 @@ def parse_seeds(spec: str) -> list[int]:
 
 def parse_noise(spec: str) -> NoiseModel:
     """Accept ``exact``, ``uniform:LEVEL`` (LEVEL > 0), ``uniform:LEVEL:MODE``
-    (MODE in ``noise.GRAD_MODES``) or ``cast:BITS`` (64, 32, 16)."""
+    (MODE in ``noise.GRAD_MODES``) or ``cast:BITS`` (32, 16)."""
     spec = spec.strip()
     kind, *args = spec.split(":")
     try:
@@ -68,7 +68,7 @@ def main():
 @click.option("--suite", default="desk", show_default=True, help="Suite name (desk|all) or comma-separated problem names.")
 @click.option("--solver", "solvers", default="ours,baseline_line", show_default=True, help="Comma-separated solver variants.")
 @click.option("--noise", default="exact", show_default=True, help="exact | uniform:LEVEL[:MODE] | cast:BITS")
-@click.option("--eps-f", default="auto", show_default=True, help="Objective error rate, or 'auto' for the model default.")
+@click.option("--eps-f", default="auto", show_default=True, help="Objective error rate of the regularized solvers' slack, or 'auto' for the model default.")
 @click.option("--gtol", type=float, default=1e-2, show_default=True, help="Gradient tolerance (infinity norm).")
 @click.option("--kmax", type=int, default=SolverConfig.k_max, show_default=True, help="Iteration cap.")
 @click.option("--seeds", default="0", show_default=True, help="Seed list: N, a,b,c or lo..hi.")

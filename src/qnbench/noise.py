@@ -8,8 +8,10 @@ and gradient evaluations and counts every call. Three models are supported:
 * ``additive_uniform`` adds independent uniform draws from
   ``[-level, +level]`` to the objective and to each gradient component,
 * ``precision_cast`` rounds the *input* vector to a narrower IEEE-754
-  format (binary64/32/16, round-to-nearest-even) and evaluates the clean
+  format (binary32/16, round-to-nearest-even) and evaluates the clean
   functions on the rounded point in full precision.
+
+Evaluation in binary64 is the ``exact`` model itself, so no cast names it.
 
 Draws come from a counter-based Philox stream seeded per oracle instance,
 so identical (kind, seed, call-sequence) triples reproduce identical noisy
@@ -40,7 +42,7 @@ GRAD_MODES = ("percomp", "rank1")
 
 # Default objective error rates per model: large multiples of the machine
 # epsilon of the evaluation format, to cover accumulated round-off.
-CAST_EPS_F = {64: 2.22e-9, 32: 1.19e-3, 16: 9.77e-2}
+CAST_EPS_F = {32: 1.19e-3, 16: 9.77e-2}
 UNIFORM_EPS_F = 1e-2
 
 # Uniform noise values drawn from the Philox stream per refill. A scalar
@@ -61,8 +63,8 @@ class NoiseModel:
     ``level`` is an ``int`` or ``float``, not a ``bool``. It applies to
     ``additive_uniform`` only and lies in ``(0, MAX_LEVEL]``, so that the
     draw range ``[-level, level]`` has a finite width; every other kind keeps
-    it at 0. ``bits`` is an ``int`` in (64, 32, 16), and only
-    ``precision_cast`` sets it below 64. ``grad_mode`` selects whether
+    it at 0. ``bits`` is an ``int``: 32 or 16 for ``precision_cast``, and
+    64 for every other kind. ``grad_mode`` selects whether
     uniform gradient noise is drawn per component (``percomp``) or as a
     single draw shared by all components (``rank1``); only
     ``additive_uniform`` sets it to ``rank1``.
@@ -89,7 +91,11 @@ class NoiseModel:
             raise ValueError(f"level applies to additive_uniform only, got {self.level!r} for {self.kind}")
         if not isinstance(self.bits, int) or self.bits not in (64, 32, 16):
             raise ValueError(f"bits must be the int 64, 32 or 16, got {self.bits!r}")
-        if self.bits != 64 and self.kind != "precision_cast":
+        if self.kind == "precision_cast":
+            # binary64 evaluation is the exact model: one setting, one run.
+            if self.bits == 64:
+                raise ValueError("precision_cast needs bits 32 or 16, got 64: binary64 is kind 'exact'")
+        elif self.bits != 64:
             raise ValueError(f"bits applies to precision_cast only, got {self.bits!r} for {self.kind}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
@@ -157,8 +163,6 @@ class NoisyOracle:
 
     def _cast_input(self, x: Array) -> Array:
         bits = self.model.bits
-        if bits == 64:
-            return x
         target = np.float32 if bits == 32 else np.float16
         with np.errstate(over="ignore"):
             rounded = x.astype(target).astype(np.float64)

@@ -9,9 +9,9 @@ maps from the variant name:
   a step is accepted under the error-relaxed Armijo test, and a first trial
   taken at ``mu > 0`` may be rescaled once. Off (``baseline_line*``), the
   loop is the classical comparator: ``mu = 0`` everywhere (so no step is
-  rescaled) and the plain Armijo test (zero slack), which is what it takes
-  to represent a conventional line-search L-BFGS in the same cost
-  accounting;
+  rescaled) and the plain Armijo test, since its config holds no slack
+  (``eps_f = 0``), which is what it takes to represent a conventional
+  line-search L-BFGS in the same cost accounting;
 - *modified secant* (``*_ms``): the gradient difference is corrected by
   function values before it is damped and screened.
 
@@ -74,7 +74,10 @@ class SolverConfig:
     """Per-run settings, validated when built. ``k_max`` is a run's only budget.
 
     ``memory_size`` and ``k_max`` are ints, ``eps_gtol`` and ``eps_f`` ints or
-    floats, and ``fresh_fk`` a bool; a ``bool`` counts as none of the numbers.
+    floats, stored as ``float``, and ``fresh_fk`` a bool; a ``bool`` counts
+    as none of the numbers. ``eps_f`` is the error rate of the relaxed
+    Armijo test's slack, which only the regularized variants have: any other
+    variant refuses a nonzero one.
     """
 
     memory_size: int = 10
@@ -94,6 +97,12 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float, np.floating)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int or float, got {value!r}")
+            # A numpy float would carry its own width into the arithmetic; and
+            # -0.0 + 0.0 is 0.0, so that equal settings make one run.
+            try:
+                object.__setattr__(self, name, float(value) + 0.0)
+            except OverflowError:
+                raise ValueError(f"{name} must fit in a float, got {value!r}") from None
         # Negated comparisons, so that NaN fails every float check.
         if not self.eps_gtol >= 0.0:
             raise ValueError(f"eps_gtol must be >= 0, got {self.eps_gtol!r}")
@@ -101,6 +110,8 @@ class SolverConfig:
             raise ValueError(f"eps_f must lie in [0, 1), got {self.eps_f!r}")
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
+        if self.eps_f != 0.0 and not VARIANTS[self.variant][0]:
+            raise ValueError(f"eps_f is the slack of the regularized variants, got {self.eps_f!r} for {self.variant}")
         # A truthy string such as "no" would re-evaluate f at every iterate.
         if not isinstance(self.fresh_fk, bool):
             raise ValueError(f"fresh_fk must be a bool, got {self.fresh_fk!r}")
@@ -244,8 +255,6 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     """
     regularized, use_ms = VARIANTS[cfg.variant]
     oracle = NoisyOracle(problem, noise_model)
-    # The baseline runs the classical Armijo test: no error slack at all.
-    ls_eps_f = cfg.eps_f if regularized else 0.0
 
     x = np.array(problem.x0, dtype=float)
     columns = [array(code) for code in _TYPECODES]
@@ -286,7 +295,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 d = -g / (1.0 + mu)
                 gtd = float(g.dot(d))
 
-            res = backtrack(oracle, x, d, gtd, f_bar, mu=mu, eps_f=ls_eps_f)
+            res = backtrack(oracle, x, d, gtd, f_bar, mu=mu, eps_f=cfg.eps_f)
             if regularized and eligible:
                 reg.register_k0(f_bar, res.delta)
 

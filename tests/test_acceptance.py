@@ -118,7 +118,7 @@ def test_criterion_3_cost_experiment_shape():
     finals = {}
     iters = {}
     for variant in ("ours", "baseline_line"):
-        cfg = SolverConfig(k_max=100, eps_gtol=0.0, eps_f=EXACT_EPS_F, variant=variant)
+        cfg = SolverConfig(k_max=100, eps_gtol=0.0, eps_f=EXACT_EPS_F if variant == "ours" else 0.0, variant=variant)
         times = []
         for _ in range(5):
             t1 = time.perf_counter()
@@ -304,12 +304,12 @@ def test_criterion_9_configuration_defaults():
         and BETA_MAX == 15.0 / 16.0
         and RegularizerState().varsigma == 1e-10
         and UNIFORM_EPS_F == 1e-2
-        and CAST_EPS_F == {64: 2.22e-9, 32: 1.19e-3, 16: 9.77e-2}
+        and CAST_EPS_F == {32: 1.19e-3, 16: 9.77e-2}
         and default_eps_f(NoiseModel(kind="additive_uniform", level=1e-3)) == 1e-2
     )
     check(
         9,
         ok,
         "defaults: c=1e-4, beta=[1/16, 15/16], varsigma=1e-10, memory=10, k_max=15000, "
-        "eps_f table {1e-2, 2.22e-9, 1.19e-3, 9.77e-2}",
+        "eps_f table {1e-2, 1.19e-3, 9.77e-2}",
     )

@@ -510,6 +510,7 @@ class TestCli:
             ("--noise", "uniform:abc"),
             ("--noise", "uniform:-1"),
             ("--noise", "cast:8"),
+            ("--noise", "cast:64"),
             ("--noise", "uniform:inf"),
             ("--noise", "uniform:1e308"),
             ("--noise", "gaussian"),
@@ -591,6 +592,9 @@ class TestCli:
         assert replace(r_plain, wall_ms=expected.wall_ms) != expected
 
 
+UNIFORM = NoiseModel(kind="additive_uniform", level=1e-3)
+
+
 # One valid non-default value for each field of the settings that reach
 # run_matrix, and its fate there: a "kept" value reaches every task's config
 # or noise model unchanged; each run sets the "refused" ones itself, so
@@ -602,7 +606,7 @@ MATRIX_SETTINGS = [
     (SolverConfig, "eps_f", dict(eps_f=0.5), "refused"),
     (SolverConfig, "variant", dict(variant="baseline_line_ms"), "refused"),
     (SolverConfig, "fresh_fk", dict(fresh_fk=True), "kept"),
-    (NoiseModel, "kind", dict(kind="precision_cast"), "kept"),
+    (NoiseModel, "kind", dict(kind="precision_cast", bits=32), "kept"),
     (NoiseModel, "level", dict(kind="additive_uniform", level=1e-3), "kept"),
     (NoiseModel, "bits", dict(kind="precision_cast", bits=32), "kept"),
     (NoiseModel, "seed", dict(seed=12345), "refused"),
@@ -650,6 +654,32 @@ class TestBadSolverSettings:
         monkeypatch.setattr(bench_mod, "_execute", no_run)
         with pytest.raises(ValueError, match="eps_gtol" if eps_f == "auto" else "eps_f"):
             run_matrix(["sphere_n10"], ["ours"], NoiseModel(), eps_gtol, [0], eps_f=eps_f)
+
+    def test_the_matrix_gives_eps_f_to_the_slack_variants_only(self):
+        solvers = ["ours", "ours_ms", "baseline_line", "baseline_line_ms"]
+        for eps_f, given in ((0.5, 0.5), ("auto", 1e-2)):
+            tasks = bench_mod._plan(["sphere_n10"], solvers, UNIFORM, 1e-2, [0], 1, eps_f=eps_f, base_cfg=None)
+            assert [cfg.eps_f for _, _, _, cfg in tasks] == [given, given, 0.0, 0.0]
+        # A baseline-only matrix takes "auto" and 0: neither asks for a slack.
+        for eps_f in ("auto", 0.0):
+            bench_mod._plan(["sphere_n10"], ["baseline_line"], UNIFORM, 1e-2, [0], 1, eps_f=eps_f, base_cfg=None)
+
+    @pytest.mark.parametrize("eps_f", [0.5, -0.1, float("nan"), "0.01", False])
+    def test_an_eps_f_no_listed_solver_takes_is_refused_before_any_run(self, monkeypatch, eps_f):
+        # A given eps_f is checked even when only baselines are listed, and a
+        # nonzero one is refused there, since no run would use it.
+        monkeypatch.setattr(bench_mod, "_execute", None)
+        with pytest.raises(ValueError, match="eps_f"):
+            run_matrix(["sphere_n10"], ["baseline_line", "baseline_line_ms"], UNIFORM, 1e-2, [0], eps_f=eps_f)
+
+    def test_an_eps_f_no_listed_solver_takes_is_a_usage_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench_mod, "_execute", None)
+        out = tmp_path / "r.csv"
+        args = ["run", "--suite", "sphere_n10", "--solver", "baseline_line", "--eps-f", "0.5", "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Error: --eps-f: eps_f 0.5 " in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "option, value, field",
@@ -724,6 +754,8 @@ class TestBadSolverSettings:
     def test_float_settings_take_ints_and_numpy_floats(self):
         cfg = SolverConfig(eps_gtol=np.float32(1e-2), eps_f=0, fresh_fk=True)
         assert (cfg.eps_gtol, cfg.eps_f, cfg.fresh_fk) == (np.float32(1e-2), 0, True)
+        # Each is kept as the float it equals, so no numpy width reaches a run.
+        assert type(cfg.eps_gtol) is float and type(cfg.eps_f) is float
         assert NoiseModel(kind="additive_uniform", level=np.float64(1e-3)).level == 1e-3
         assert NoiseModel(kind="additive_uniform", level=1).level == 1
 

@@ -15,7 +15,6 @@ from qnbench.problems import ObjectiveProblem, get_problem, make_illcond_quadrat
 def test_default_eps_f_table():
     assert default_eps_f(NoiseModel(kind="exact")) == 0.0
     assert default_eps_f(NoiseModel(kind="additive_uniform", level=1e-3)) == 1e-2
-    assert default_eps_f(NoiseModel(kind="precision_cast", bits=64)) == 2.22e-9
     assert default_eps_f(NoiseModel(kind="precision_cast", bits=32)) == 1.19e-3
     assert default_eps_f(NoiseModel(kind="precision_cast", bits=16)) == 9.77e-2
 
@@ -142,12 +141,6 @@ def test_precision_cast_binary32_representable_input():
     assert np.all(o.grad_bar(np.array([1.0, 1.0])) == np.array([1.0, 2.0]))
 
 
-def test_precision_cast_binary64_is_identity():
-    p = get_problem("rosenbrock_n2")
-    o = NoisyOracle(p, NoiseModel(kind="precision_cast", bits=64))
-    assert o.f_bar(p.x0) == p.f(p.x0)
-
-
 def test_precision_cast_overflow_raises():
     o = NoisyOracle(get_problem("sphere_n2"), NoiseModel(kind="precision_cast", bits=16))
     with pytest.raises(OracleError, match="input overflows binary16 range"):
@@ -201,6 +194,8 @@ def test_model_validation():
         (dict(kind="additive_uniform", level=1e-3, bits=7), "bits"),
         (dict(kind="additive_uniform", level=1e-3, bits=32), "bits"),
         (dict(kind="exact", bits=16), "bits"),
+        (dict(kind="precision_cast"), "bits .*'exact'"),
+        (dict(kind="precision_cast", bits=64), "bits .*'exact'"),
         (dict(kind="precision_cast", bits=32.0), "bits"),
         (dict(kind="precision_cast", bits=True), "bits"),
         (dict(kind="exact", grad_mode="rank1"), "grad_mode"),
@@ -210,8 +205,8 @@ def test_model_validation():
 )
 def test_model_refuses_settings_its_kind_ignores(settings, field):
     # A model says what it does: a level and a rank1 gradient only for
-    # additive_uniform, a width below 64 bits only for precision_cast, and a
-    # width only as an int.
+    # additive_uniform, a width below 64 bits only for precision_cast, which
+    # needs one (binary64 is the exact model), and a width only as an int.
     with pytest.raises(ValueError, match=field):
         NoiseModel(**settings)
 

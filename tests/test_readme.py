@@ -7,7 +7,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from qnbench.bench import RUNS_HEADER, TRACE_HEADER
-from qnbench.cli import main
+from qnbench.cli import main, parse_noise
 from qnbench.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -36,3 +36,14 @@ def test_readme_names_exactly_the_command_options():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
     options = {opt for command in ("run", "profile") for param in main.commands[command].params for opt in param.opts}
     assert named == options
+
+
+def test_readme_noise_specs_parse():
+    # A refused spec, such as a removed cast width, cannot linger in the docs.
+    # A spec with a placeholder in capitals (uniform:LEVEL) is a template.
+    text = README.read_text()
+    specs = [s for s in re.findall(r"--noise\s+([^\s`]+)", text) if s == s.lower()]
+    casts = re.findall(r"\bcast:\d+", text)
+    assert specs and casts
+    for spec in specs + casts:
+        parse_noise(spec)

@@ -1,14 +1,19 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qnbench.solver as solver_mod
 from qnbench.bench import derive_oracle_seed
+from qnbench.linesearch import MAX_REJECTIONS
 from qnbench.noise import NoiseModel
-from qnbench.problems import ObjectiveProblem, get_problem
-from qnbench.solver import SolverConfig, solve
+from qnbench.problems import DESK_SUITE, ObjectiveProblem, get_problem
+from qnbench.regularizer import RegularizerState
+from qnbench.solver import VARIANTS, SolverConfig, solve
 
 
 def exact(**kw):
@@ -43,7 +48,7 @@ def test_wrapper_over_objective_sees_every_counted_call(monkeypatch):
     monkeypatch.setattr(solver_mod, "backtrack", counting_backtrack)
     object.__setattr__(problem, "f", wrapper)
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=derive_oracle_seed("beale_n2", 0))
-    res = solve(problem, model, SolverConfig(k_max=60, eps_gtol=1e-2, eps_f=1e-2, variant="baseline_line"))
+    res = solve(problem, model, SolverConfig(k_max=60, eps_gtol=1e-2, variant="baseline_line"))
     assert counts["exhausted"] > 0
     assert counts["wrapper"] == res.f_calls
     assert counts["clean"] < res.f_calls
@@ -102,7 +107,7 @@ def test_noisy_contrast_over_seeds():
     for seed in range(8):
         model = NoiseModel(kind="additive_uniform", level=1e-3, seed=seed)
         ours = solve(p, model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=800, variant="ours"))
-        base = solve(p, model, SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=800, variant="baseline_line"))
+        base = solve(p, model, SolverConfig(eps_gtol=1e-2, k_max=800, variant="baseline_line"))
         ours_ok += ours.status == "converged"
         base_ok += base.status == "converged"
     assert ours_ok > 4
@@ -137,7 +142,7 @@ def test_trace_invariants_on_noisy_run():
 def test_oracle_call_accounting(variant, problem, noisy):
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=5) if noisy else NoiseModel()
     eps_f = 1e-2 if noisy else 0.0
-    cfg = SolverConfig(eps_gtol=1e-2, eps_f=eps_f, k_max=400, variant=variant)
+    cfg = SolverConfig(eps_gtol=1e-2, eps_f=eps_f if variant != "baseline_line" else 0.0, k_max=400, variant=variant)
     res = solve(get_problem(problem), model, cfg)
     expected_f = 1 + sum(1 + t.rejections for t in res.trace)
     assert res.f_calls == expected_f
@@ -161,7 +166,7 @@ def test_fresh_fk_changes_a_baseline_outcome():
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=derive_oracle_seed("broyden_tridiag_n10", 0))
     outcomes = []
     for fresh_fk in (False, True):
-        cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=1000, variant="baseline_line", fresh_fk=fresh_fk)
+        cfg = SolverConfig(eps_gtol=1e-2, k_max=1000, variant="baseline_line", fresh_fk=fresh_fk)
         res = solve(get_problem("broyden_tridiag_n10"), model, cfg)
         outcomes.append((res.status, res.iterations, res.f_calls))
     assert outcomes == [("max_iters", 1000, 31462), ("converged", 14, 34)]
@@ -185,7 +190,7 @@ def test_ms_variant_changes_an_exact_outcome():
 
 def test_baseline_ms_variant():
     res = solve(
-        get_problem("beale_n2"), NoiseModel(), exact(eps_gtol=1e-5, eps_f=2.22e-9, variant="baseline_line_ms", k_max=2000)
+        get_problem("beale_n2"), NoiseModel(), exact(eps_gtol=1e-5, variant="baseline_line_ms", k_max=2000)
     )
     assert res.status == "converged"
     assert all(t.mu == 0.0 and t.delta == 0.0 for t in res.trace)
@@ -318,6 +323,7 @@ BAD_SETTINGS = [
     ("k_max", 2.5), ("k_max", NAN),
     ("eps_gtol", -1.0), ("eps_gtol", NAN),
     ("eps_f", -0.1), ("eps_f", 1.0), ("eps_f", NAN),
+    ("eps_gtol", 10**400), ("eps_f", 10**400),
 ]
 
 
@@ -330,3 +336,106 @@ def test_config_refuses_bad_settings(field, value):
 def test_config_keeps_edge_settings():
     # large_n runs with eps_gtol = 0.
     SolverConfig(memory_size=1, eps_gtol=0.0, eps_f=0.0)
+
+
+@pytest.mark.parametrize("variant", ["baseline_line", "baseline_line_ms"])
+def test_a_variant_without_a_slack_refuses_a_nonzero_eps_f(variant):
+    # The line-search baselines run the classical Armijo test: an eps_f
+    # given to them would name a run they do not make.
+    with pytest.raises(ValueError, match=rf"eps_f .*{variant}"):
+        SolverConfig(variant=variant, eps_f=1e-2)
+    assert SolverConfig(variant=variant, eps_f=0).eps_f == 0.0
+    # -0.0 is the zero slack too, kept as +0.0 so a trace's delta stays +0.0.
+    assert math.copysign(1.0, SolverConfig(variant=variant, eps_f=-0.0).eps_f) == 1.0
+
+
+def float32_run(eps_f, eps_gtol):
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=1)
+    cfg = SolverConfig(eps_gtol=eps_gtol, eps_f=eps_f, k_max=50)
+    return solve(get_problem("rosenbrock_n2"), model, cfg)
+
+
+def test_numpy_float_settings_run_in_double_precision():
+    # Under NumPy 2's scalar rules a float32 setting would pull the slack
+    # and the convergence test into float32; the run equals the one under
+    # the double the setting equals, bit for bit.
+    narrow = float32_run(np.float32(1e-2), np.float32(1e-2))
+    wide = float32_run(float(np.float32(1e-2)), float(np.float32(1e-2)))
+    assert narrow.status == wide.status and narrow.f_calls == wide.f_calls
+    assert [repr(r) for r in narrow.trace] == [repr(r) for r in wide.trace]
+    assert narrow.trace[0].delta.hex() == wide.trace[0].delta.hex()
+
+
+def test_a_gradient_one_ulp_above_a_float32_tolerance_is_not_converged():
+    gtol = np.float32(0.01)
+    above = math.nextafter(float(gtol), math.inf)
+    p = ObjectiveProblem(
+        "sphere_above_n1", lambda x: 0.5 * float(x.dot(x)), lambda x: np.array(x, dtype=float), np.array([above])
+    )
+    res = solve(p, NoiseModel(), exact(eps_gtol=gtol))
+    assert res.iterations >= 1
+
+
+NOISE_MODELS = st.one_of(
+    st.just(NoiseModel()),
+    st.builds(
+        lambda level, mode: NoiseModel(kind="additive_uniform", level=level, grad_mode=mode),
+        st.floats(-4.0, -1.0).map(lambda e: 10.0**e),
+        st.sampled_from(["percomp", "rank1"]),
+    ),
+    st.builds(lambda bits: NoiseModel(kind="precision_cast", bits=bits), st.sampled_from([32, 16])),
+)
+
+
+@st.composite
+def whole_runs(draw):
+    """A desk run: problem, noise model and seed, and every solver setting."""
+    variant = draw(st.sampled_from(list(VARIANTS)))
+    cfg = SolverConfig(
+        memory_size=draw(st.integers(1, 12)),
+        k_max=draw(st.integers(1, 40)),
+        eps_gtol=1e-3,
+        eps_f=draw(st.floats(0.0, 0.5)) if VARIANTS[variant][0] else 0.0,
+        variant=variant,
+        fresh_fk=draw(st.booleans()),
+    )
+    model = replace(draw(NOISE_MODELS), seed=draw(st.integers(0, 2**64 - 1)))
+    return get_problem(draw(st.sampled_from(DESK_SUITE))), model, cfg
+
+
+def run_bytes(res):
+    """Everything a run returns, in a form whose equality is equality of bits."""
+    rows = [repr(r) for r in res.trace]
+    return (res.status, res.f_calls, res.g_calls, res.discarded_grad_probes,
+            repr(res.final_f_bar), repr(res.final_g_inf), res.x_final.tobytes(), rows)
+
+
+@given(whole_runs())
+@settings(max_examples=60, deadline=None)
+def test_whole_loop_properties(run):
+    problem, model, cfg = run
+    res = solve(problem, model, cfg)
+    trace = res.trace
+    assert res.status in ("converged", "max_iters", "oracle_error")
+    # Only an OracleError ends a run before the cap or the tolerance.
+    assert res.iterations <= cfg.k_max
+    if res.status == "max_iters":
+        assert res.iterations == cfg.k_max
+    if res.status == "converged":
+        assert res.final_g_inf <= cfg.eps_gtol
+    if res.status != "oracle_error":
+        assert res.g_calls == 1 + res.iterations + res.discarded_grad_probes
+        fresh = max(res.iterations - 1, 0) if cfg.fresh_fk else 0
+        assert res.f_calls == 1 + sum(1 + r.rejections for r in trace) + fresh
+        if trace:
+            assert (trace[-1].f_calls, trace[-1].g_calls) == (res.f_calls, res.g_calls)
+    for a, b in zip(trace, trace[1:]):
+        assert b.f_calls >= a.f_calls and b.g_calls >= a.g_calls
+    assert run_bytes(solve(problem, model, cfg)) == run_bytes(res)
+    for r in trace:
+        if r.mu > 0.0:
+            assert r.mu >= RegularizerState.theta_min * r.g_two
+    # The slack exceeds 2 eps_f >= 2 level, which bounds the difference of
+    # two noisy values at one point: a small enough step always passes.
+    if model.kind == "additive_uniform" and VARIANTS[cfg.variant][0] and cfg.eps_f >= model.level:
+        assert all(r.rejections < MAX_REJECTIONS for r in trace)

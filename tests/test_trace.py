@@ -171,7 +171,7 @@ def test_solver_trace_round_trips_through_pickle_and_csv(tmp_path):
 
 def test_baseline_trace_round_trips_through_pickle_and_csv_byte_for_byte(tmp_path):
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=4)
-    cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="baseline_line")
+    cfg = SolverConfig(eps_gtol=1e-2, k_max=300, variant="baseline_line")
     trace = solve(get_problem("ext_rosenbrock_n10"), model, cfg).trace
     # The baseline has no shift and no Armijo slack: mu and delta are never stored.
     assert widths(trace) == [8, 8, 8, 0, 8, 0, 1, 2, 2]
@@ -229,8 +229,8 @@ def test_baseline_trace_retains_at_most_44_bytes_per_iteration():
     # when they took 8 bytes each.
     problem = get_problem("illcond_quadratic_n10")
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=7)
-    cfg = SolverConfig(eps_gtol=0.0, eps_f=1e-2, k_max=2000, variant="baseline_line")
-    solve(problem, model, SolverConfig(eps_gtol=0.0, eps_f=1e-2, k_max=3, variant="baseline_line"))
+    cfg = SolverConfig(eps_gtol=0.0, k_max=2000, variant="baseline_line")
+    solve(problem, model, SolverConfig(eps_gtol=0.0, k_max=3, variant="baseline_line"))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
