@@ -8,10 +8,11 @@ compares solvers through the per-problem ratios
 of problems a solver handled within factor ``tau`` of the best solver.
 
 Runs are embarrassingly parallel. Every (problem, solver, seed) triple gets
-its own oracle whose noise seed is derived deterministically from the
-problem name and the user seed, so results are identical whatever the
-worker count; records are sorted canonically before use. Wall-clock times
-are the one genuinely nondeterministic column.
+its own oracle. Under a noise model that draws, its noise seed is derived
+deterministically from the problem name and the user seed; a model that
+draws nothing takes no seed. So results are identical whatever the worker
+count; records are sorted canonically before use. Wall-clock times are the
+one genuinely nondeterministic column.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_type_hints
 
-from .noise import NoiseModel, default_eps_f
+from .noise import KINDS, NoiseModel, default_eps_f
 from .problems import get_problem
 from .solver import VARIANTS, IterationRecord, SolveResult, SolverConfig, solve
 
@@ -126,9 +127,11 @@ def _plan(
 
     Takes :func:`run_matrix`'s arguments but ``keep_traces`` and raises what
     it raises before any run. Returns one ``(problem, seed, oracle model,
-    config)`` task per triple, in matrix order; the config names the solver,
-    and holds the resolved ``eps_f`` when the solver has a slack and 0
-    otherwise.
+    config)`` task per triple, in matrix order. The oracle model is
+    ``noise`` with the seed derived from the problem and the run seed when
+    its kind reads a seed (it draws), and ``noise`` itself otherwise. The
+    config names the solver, and holds the resolved ``eps_f`` when the
+    solver's variant has a ``slack`` and 0 otherwise.
     """
     if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
         raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
@@ -160,11 +163,14 @@ def _plan(
     # A given eps_f is checked even when no listed solver takes it.
     eps_f_val = default_eps_f(noise) if eps_f == "auto" else replace(cfg0, eps_gtol=eps_gtol, eps_f=eps_f).eps_f
     cfgs = [replace(cfg0, variant=s, eps_gtol=eps_gtol) for s in solvers]
-    if eps_f != "auto" and eps_f_val != 0.0 and not any(VARIANTS[cfg.variant][0] for cfg in cfgs):
-        raise ValueError(f"eps_f {eps_f_val!r} is the slack of the regularized variants, and no listed solver has one")
-    cfgs = [replace(cfg, eps_f=eps_f_val) if VARIANTS[cfg.variant][0] else cfg for cfg in cfgs]
+    if eps_f != "auto" and eps_f_val != 0.0 and not any(VARIANTS[cfg.variant].slack for cfg in cfgs):
+        slack = tuple(s for s, v in VARIANTS.items() if v.slack)
+        raise ValueError(f"eps_f {eps_f_val!r} is the slack of the variants {slack}, and no listed solver has one")
+    cfgs = [replace(cfg, eps_f=eps_f_val) if VARIANTS[cfg.variant].slack else cfg for cfg in cfgs]
+    # Only a model that draws takes a seed; every other task shares noise.
+    seeded = "seed" in KINDS[noise.kind]
     return [
-        (name, seed, replace(noise, seed=derive_oracle_seed(name, seed)), cfg)
+        (name, seed, replace(noise, seed=derive_oracle_seed(name, seed)) if seeded else noise, cfg)
         for name in suite
         for cfg in cfgs
         for seed in seeds
@@ -191,9 +197,11 @@ def run_matrix(
     resolves to the model's default error rate. Every task runs ``base_cfg``
     (``SolverConfig()`` when omitted) with its ``eps_gtol`` and ``variant``
     set from this call's ``eps_gtol`` and the task's solver name, under
-    ``noise`` with its ``seed`` derived from the problem and the run seed.
-    The resolved ``eps_f`` is the slack of the relaxed Armijo test, so it
-    reaches only the regularized solvers; every other solver runs with
+    ``noise``. When the model draws (its kind reads ``seed``), each task's
+    oracle seed is derived from the problem and the run seed; a model that
+    draws nothing reaches every task unchanged, with seed 0. The resolved
+    ``eps_f`` is the slack of the relaxed Armijo test, so it reaches only
+    the solvers whose variant has a ``slack``; every other solver runs with
     ``eps_f = 0``. A record holds no cost: a profile prices it (see
     :func:`aggregate_seeds`).
 
@@ -212,8 +220,8 @@ def run_matrix(
       ``eps_gtol`` or ``eps_f`` out of range, or an ``eps_f`` other than
       ``"auto"`` that is not an int or float, even when no listed solver
       takes it;
-    - a nonzero ``eps_f`` other than ``"auto"`` when no listed solver is
-      regularized, since none would run with it.
+    - a nonzero ``eps_f`` other than ``"auto"`` when no listed solver's
+      variant has a ``slack``, since none would run with it.
 
     An exception raised during a run propagates unchanged.
     """

@@ -18,7 +18,7 @@ import click
 from .bench import METRICS, _plan, _profile, emit_csv, emit_svg, read_runs_csv, run_matrix, write_trace_csv
 from .noise import NoiseModel
 from .problems import suite_names
-from .solver import SolverConfig
+from .solver import VARIANTS, SolverConfig
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -66,9 +66,9 @@ def main():
 
 @main.command("run")
 @click.option("--suite", default="desk", show_default=True, help="Suite name (desk|all) or comma-separated problem names.")
-@click.option("--solver", "solvers", default="ours,baseline_line", show_default=True, help="Comma-separated solver variants.")
+@click.option("--solver", "solvers", default="ours,baseline_line", show_default=True, help=f"Comma-separated solver variants: {' | '.join(VARIANTS)}.")
 @click.option("--noise", default="exact", show_default=True, help="exact | uniform:LEVEL[:MODE] | cast:BITS")
-@click.option("--eps-f", default="auto", show_default=True, help="Objective error rate of the regularized solvers' slack, or 'auto' for the model default.")
+@click.option("--eps-f", default="auto", show_default=True, help="Objective error rate of the slack variants' relaxed test, or 'auto' for the model default.")
 @click.option("--gtol", type=float, default=1e-2, show_default=True, help="Gradient tolerance (infinity norm).")
 @click.option("--kmax", type=int, default=SolverConfig.k_max, show_default=True, help="Iteration cap.")
 @click.option("--seeds", default="0", show_default=True, help="Seed list: N, a,b,c or lo..hi.")

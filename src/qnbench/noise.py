@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +37,13 @@ from .problems import ObjectiveProblem
 
 Array = np.ndarray
 
-KINDS = ("exact", "additive_uniform", "precision_cast")
+# Each kind and the fields it reads besides ``kind``; a model keeps every
+# other field at its default.
+KINDS = {
+    "exact": (),
+    "additive_uniform": ("level", "seed", "grad_mode"),
+    "precision_cast": ("bits",),
+}
 GRAD_MODES = ("percomp", "rank1")
 
 # Default objective error rates per model: large multiples of the machine
@@ -60,15 +66,16 @@ _FLOAT64 = np.dtype(np.float64)
 class NoiseModel:
     """Configuration of the injected evaluation noise.
 
-    ``level`` is an ``int`` or ``float``, not a ``bool``. It applies to
-    ``additive_uniform`` only and lies in ``(0, MAX_LEVEL]``, so that the
-    draw range ``[-level, level]`` has a finite width; every other kind keeps
-    it at 0. ``bits`` is an ``int``: 32 or 16 for ``precision_cast``, and
-    64 for every other kind. ``grad_mode`` selects whether
-    uniform gradient noise is drawn per component (``percomp``) or as a
-    single draw shared by all components (``rank1``); only
-    ``additive_uniform`` sets it to ``rank1``.
-    ``seed`` is an ``int``, not a ``bool``, in ``[0, 2**64)``.
+    ``KINDS`` lists the fields each kind reads, and a field its kind does
+    not read must keep its default, so a model says what it does.
+    ``level`` is an ``int`` or ``float``, not a ``bool``, and for
+    ``additive_uniform`` lies in ``(0, MAX_LEVEL]``, so that the draw range
+    ``[-level, level]`` has a finite width. ``bits`` is an ``int``: 32 or 16
+    for ``precision_cast``, and 64 for every other kind. ``grad_mode``
+    selects whether uniform gradient noise is drawn per component
+    (``percomp``) or as a single draw shared by all components (``rank1``).
+    ``seed`` is an ``int``, not a ``bool``, in ``[0, 2**64)``; only
+    ``additive_uniform``, the one kind that draws, takes a nonzero one.
     """
 
     kind: str = "exact"
@@ -79,33 +86,30 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
         # A bool is a number, but True would draw from [-1, 1].
         if not isinstance(self.level, (int, float, np.floating)) or isinstance(self.level, bool):
             raise ValueError(f"level must be an int or float, got {self.level!r}")
-        # A setting the kind ignores is refused, so a model says what it does.
-        if self.kind == "additive_uniform":
-            if not 0 < self.level <= MAX_LEVEL:
-                raise ValueError(f"additive_uniform needs 0 < level <= {MAX_LEVEL!r}, got {self.level!r}")
-        elif self.level != 0:
-            raise ValueError(f"level applies to additive_uniform only, got {self.level!r} for {self.kind}")
         if not isinstance(self.bits, int) or self.bits not in (64, 32, 16):
             raise ValueError(f"bits must be the int 64, 32 or 16, got {self.bits!r}")
-        if self.kind == "precision_cast":
-            # binary64 evaluation is the exact model: one setting, one run.
-            if self.bits == 64:
-                raise ValueError("precision_cast needs bits 32 or 16, got 64: binary64 is kind 'exact'")
-        elif self.bits != 64:
-            raise ValueError(f"bits applies to precision_cast only, got {self.bits!r} for {self.kind}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
-        if self.grad_mode != GRAD_MODES[0] and self.kind != "additive_uniform":
-            raise ValueError(f"grad_mode applies to additive_uniform only, got {self.grad_mode!r} for {self.kind}")
         # A bool is an int, but True would seed the stream as 1.
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        # A field its kind does not read keeps its default; kind is the first.
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            if field.name not in KINDS[self.kind] and value != field.default:
+                readers = " and ".join(kind for kind, read in KINDS.items() if field.name in read)
+                raise ValueError(f"{field.name} applies to {readers} only, got {value!r} for {self.kind}")
+        if self.kind == "additive_uniform" and not 0 < self.level <= MAX_LEVEL:
+            raise ValueError(f"additive_uniform needs 0 < level <= {MAX_LEVEL!r}, got {self.level!r}")
+        # binary64 evaluation is the exact model: one setting, one run.
+        if self.kind == "precision_cast" and self.bits == 64:
+            raise ValueError("precision_cast needs bits 32 or 16, got 64: binary64 is kind 'exact'")
 
 
 def default_eps_f(model: NoiseModel) -> float:

@@ -1,21 +1,22 @@
 """Noise-tolerant regularized quasi-Newton solver and its line-search baseline.
 
 ``solve`` runs every variant the benchmark compares. The variants share all
-of the machinery and differ in two decisions, which the table ``VARIANTS``
-maps from the variant name:
+of the machinery, and the table ``VARIANTS`` maps each variant name to the
+:class:`Variant` record of what sets it apart:
 
-- *regularized* (``ours*``): per iteration the shift ``mu`` is zero while
-  the objective gate holds and follows the gradient-energy rule otherwise,
-  a step is accepted under the error-relaxed Armijo test, and a first trial
-  taken at ``mu > 0`` may be rescaled once. Off (``baseline_line*``), the
-  loop is the classical comparator: ``mu = 0`` everywhere (so no step is
-  rescaled) and the plain Armijo test, since its config holds no slack
-  (``eps_f = 0``), which is what it takes to represent a conventional
-  line-search L-BFGS in the same cost accounting;
-- *modified secant* (``*_ms``): the gradient difference is corrected by
-  function values before it is damped and screened.
+- ``slack``: the run's ``eps_f`` reaches the error-relaxed Armijo test.
+  Without it the test is the plain Armijo one, and the config refuses a
+  nonzero ``eps_f``;
+- ``mu_rule``: ``"gated"`` keeps the shift ``mu`` at zero while the
+  objective gate holds and follows the gradient-energy rule otherwise, and
+  a first trial taken at ``mu > 0`` may be rescaled once; ``"off"`` keeps
+  ``mu = 0`` everywhere, so no step is rescaled. A run with neither a slack
+  nor a shift is the classical comparator, a conventional line-search
+  L-BFGS in the same cost accounting;
+- ``modified_secant``: the gradient difference is corrected by function
+  values before it is damped and screened.
 
-Either way the direction is the shifted two-loop one, and the damped,
+In every variant the direction is the shifted two-loop one, and the damped,
 screened curvature pair is fed back into memory. The line-search constants
 are module constants of :mod:`qnbench.linesearch`, and the regularizer's are
 class constants of ``RegularizerState``; ``SolverConfig`` holds and
@@ -60,12 +61,21 @@ from .regularizer import RegularizerState
 
 Array = np.ndarray
 
-# Variant name -> (regularized, modified secant).
+
+@dataclass(frozen=True)
+class Variant:
+    """What a variant name selects (see the module docstring)."""
+
+    slack: bool
+    mu_rule: str  # "gated" or "off"
+    modified_secant: bool
+
+
 VARIANTS = {
-    "ours": (True, False),
-    "ours_ms": (True, True),
-    "baseline_line": (False, False),
-    "baseline_line_ms": (False, True),
+    "ours": Variant(slack=True, mu_rule="gated", modified_secant=False),
+    "ours_ms": Variant(slack=True, mu_rule="gated", modified_secant=True),
+    "baseline_line": Variant(slack=False, mu_rule="off", modified_secant=False),
+    "baseline_line_ms": Variant(slack=False, mu_rule="off", modified_secant=True),
 }
 
 
@@ -76,7 +86,7 @@ class SolverConfig:
     ``memory_size`` and ``k_max`` are ints, ``eps_gtol`` and ``eps_f`` ints or
     floats, stored as ``float``, and ``fresh_fk`` a bool; a ``bool`` counts
     as none of the numbers. ``eps_f`` is the error rate of the relaxed
-    Armijo test's slack, which only the regularized variants have: any other
+    Armijo test's slack, which only a variant with ``slack`` has: any other
     variant refuses a nonzero one.
     """
 
@@ -110,8 +120,9 @@ class SolverConfig:
             raise ValueError(f"eps_f must lie in [0, 1), got {self.eps_f!r}")
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
-        if self.eps_f != 0.0 and not VARIANTS[self.variant][0]:
-            raise ValueError(f"eps_f is the slack of the regularized variants, got {self.eps_f!r} for {self.variant}")
+        if self.eps_f != 0.0 and not VARIANTS[self.variant].slack:
+            slack = tuple(name for name, v in VARIANTS.items() if v.slack)
+            raise ValueError(f"eps_f is the slack of the variants {slack}, got {self.eps_f!r} for {self.variant}")
         # A truthy string such as "no" would re-evaluate f at every iterate.
         if not isinstance(self.fresh_fk, bool):
             raise ValueError(f"fresh_fk must be a bool, got {self.fresh_fk!r}")
@@ -123,7 +134,7 @@ class IterationRecord:
     f_bar: float
     g_inf: float
     g_two: float
-    mu: float  # 0.0 exactly on a K0 iteration, and on every baseline one
+    mu: float  # 0.0 exactly on a K0 iteration, and on every mu_rule="off" row
     alpha: float
     delta: float
     rejections: int
@@ -253,7 +264,9 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     the oracle refuses a point or a finite gradient's squared norm overflows
     (``oracle_error``, with the partial trace).
     """
-    regularized, use_ms = VARIANTS[cfg.variant]
+    variant = VARIANTS[cfg.variant]
+    gated = variant.mu_rule == "gated"
+    use_ms = variant.modified_secant
     oracle = NoisyOracle(problem, noise_model)
 
     x = np.array(problem.x0, dtype=float)
@@ -265,7 +278,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
         g = oracle.grad_bar(x)
         f_bar = oracle.f_bar(x)
         memory = LbfgsMemory(cfg.memory_size)
-        reg = RegularizerState() if regularized else None
+        reg = RegularizerState() if gated else None
 
         for k in range(cfg.k_max):
             g_inf = float(np.abs(g).max())
@@ -280,12 +293,9 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 # A finite gradient whose g'g overflows: no shift or step
                 # can be formed from it.
                 raise OracleError("squared gradient norm overflows")
-            if regularized:
-                eligible = reg.mu_zero_eligible(f_bar)
-                mu = 0.0 if eligible else reg.mu_positive(gg)
-            else:
-                eligible = False
-                mu = 0.0
+            # A gated run keeps mu at zero while the objective gate holds.
+            eligible = gated and reg.mu_zero_eligible(f_bar)
+            mu = reg.mu_positive(gg) if gated and not eligible else 0.0
 
             d = memory.direction(g, mu)
             gtd = float(g.dot(d))
@@ -296,7 +306,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
                 gtd = float(g.dot(d))
 
             res = backtrack(oracle, x, d, gtd, f_bar, mu=mu, eps_f=cfg.eps_f)
-            if regularized and eligible:
+            if eligible:
                 reg.register_k0(f_bar, res.delta)
 
             x_new = res.x_new

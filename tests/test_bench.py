@@ -30,7 +30,7 @@ from qnbench.bench import (
 from qnbench.cli import main, parse_eps_f, parse_noise, parse_seeds
 from qnbench.lbfgs import LbfgsMemory
 from qnbench.noise import NoiseModel
-from qnbench.solver import SolveResult, SolverConfig, Trace
+from qnbench.solver import VARIANTS, SolveResult, SolverConfig, Trace
 
 
 def rec(problem, solver, seed=0, status="converged", calls=100.0, **kw):
@@ -142,6 +142,31 @@ class TestRunMatrix:
         )
         assert ("sphere_n10", "ours", 0) in traces
         assert len(traces[("sphere_n10", "ours", 0)]) == records[0].iters
+
+    @pytest.mark.parametrize("spec", ["exact", "cast:32", "uniform:1e-3", "uniform:1e-3:rank1"])
+    def test_only_a_model_that_draws_takes_a_derived_seed(self, spec):
+        noise = parse_noise(spec)
+        solvers = ["ours", "baseline_line"]
+        tasks = bench_mod._plan(["sphere_n10", "beale_n2"], solvers, noise, 1e-2, [0, 1], 1, eps_f="auto", base_cfg=None)
+        assert len(tasks) == 8
+        for name, seed, model, _ in tasks:
+            if noise.kind == "additive_uniform":
+                assert model == replace(noise, seed=derive_oracle_seed(name, seed))
+            else:
+                assert model == noise and model.seed == 0
+
+    @pytest.mark.parametrize("spec", ["exact", "cast:32"])
+    def test_a_model_that_draws_nothing_gives_every_run_seed_one_run(self, spec):
+        # Neither kind draws, so a run seed changes nothing but the record's
+        # seed: the premise of giving such a model no seed.
+        records, traces = run_matrix(
+            ["beale_n2", "rosenbrock_n2"], list(VARIANTS), parse_noise(spec), 1e-2, [0, 1],
+            base_cfg=SolverConfig(k_max=200), keep_traces=True,
+        )
+        runs = {s: [replace(r, seed=0, wall_ms=0.0) for r in records if r.seed == s] for s in (0, 1)}
+        assert len(runs[0]) == 8 and runs[0] == runs[1]
+        for problem, solver, seed in traces:
+            assert traces[problem, solver, seed] == traces[problem, solver, 1 - seed]
 
 
 class TestAggregation:
@@ -407,6 +432,10 @@ class TestCli:
             with pytest.raises(click.BadParameter):
                 parse_eps_f(spec)
 
+    def test_solver_help_lists_every_variant(self):
+        (param,) = [p for p in main.commands["run"].params if p.name == "solvers"]
+        assert all(name in param.help for name in VARIANTS)
+
     def test_parse_noise(self):
         assert parse_noise("exact") == NoiseModel()
         m = parse_noise("uniform:1e-3:rank1")
@@ -609,7 +638,7 @@ MATRIX_SETTINGS = [
     (NoiseModel, "kind", dict(kind="precision_cast", bits=32), "kept"),
     (NoiseModel, "level", dict(kind="additive_uniform", level=1e-3), "kept"),
     (NoiseModel, "bits", dict(kind="precision_cast", bits=32), "kept"),
-    (NoiseModel, "seed", dict(seed=12345), "refused"),
+    (NoiseModel, "seed", dict(kind="additive_uniform", level=1e-3, seed=12345), "refused"),
     (NoiseModel, "grad_mode", dict(kind="additive_uniform", level=1e-3, grad_mode="rank1"), "kept"),
 ]
 

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnbench.noise import DRAW_BLOCK, NoiseModel, NoisyOracle, OracleError, default_eps_f
+from qnbench.noise import DRAW_BLOCK, KINDS, NoiseModel, NoisyOracle, OracleError, default_eps_f
 from qnbench.problems import ObjectiveProblem, get_problem, make_illcond_quadratic, make_sphere
 
 
@@ -200,15 +201,38 @@ def test_model_validation():
         (dict(kind="precision_cast", bits=True), "bits"),
         (dict(kind="exact", grad_mode="rank1"), "grad_mode"),
         (dict(kind="precision_cast", bits=32, grad_mode="rank1"), "grad_mode"),
+        (dict(kind="exact", seed=1), "seed"),
+        (dict(kind="precision_cast", bits=32, seed=1), "seed"),
     ],
     ids=str,
 )
 def test_model_refuses_settings_its_kind_ignores(settings, field):
     # A model says what it does: a level and a rank1 gradient only for
     # additive_uniform, a width below 64 bits only for precision_cast, which
-    # needs one (binary64 is the exact model), and a width only as an int.
+    # needs one (binary64 is the exact model), a width only as an int, and a
+    # seed only for additive_uniform, the one kind that draws.
     with pytest.raises(ValueError, match=field):
         NoiseModel(**settings)
+
+
+# A valid value other than the default for every field after kind, valid for
+# every kind that reads the field.
+NON_DEFAULT = {"level": 1e-3, "bits": 32, "seed": 1, "grad_mode": "rank1"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field", [f.name for f in fields(NoiseModel)][1:])
+def test_a_kind_takes_exactly_the_settings_it_reads(kind, field):
+    # The kind's own settings, set as a valid model of it needs them, plus
+    # one more field: accepted if and only if the kind reads that field.
+    settings = {name: NON_DEFAULT[name] for name in KINDS[kind]} | {field: NON_DEFAULT[field]}
+    if field in KINDS[kind]:
+        assert getattr(NoiseModel(kind=kind, **settings), field) == NON_DEFAULT[field]
+    else:
+        readers = [k for k, read in KINDS.items() if field in read]
+        with pytest.raises(ValueError, match=field) as refused:
+            NoiseModel(kind=kind, **settings)
+        assert readers and all(k in str(refused.value) for k in readers)
 
 
 def test_uniform_level_must_keep_its_range_finite():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 from qnbench.bench import RUNS_HEADER, TRACE_HEADER
 from qnbench.cli import main, parse_noise
-from qnbench.solver import SolverConfig
+from qnbench.noise import KINDS
+from qnbench.solver import VARIANTS, SolverConfig, Variant
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,6 +30,25 @@ def test_readme_lists_the_solver_settings_and_csv_headers():
     assert re.findall(r"`(\w+)`", settings) == [f.name for f in fields(SolverConfig)]
     assert re.findall(r"`(problem,[\w,]*)`", text) == [",".join(RUNS_HEADER)]
     assert re.findall(r"`(k,[\w,]*)`", text) == [",".join(TRACE_HEADER)]
+
+
+def test_readme_variant_table_is_the_variants_table():
+    # A column per Variant field, named as the field with its underscore a
+    # space and mu written μ, and a row per VARIANTS name, in table order.
+    (table,) = re.findall(r"^(\| variant \|.*\|\n\|[-|]+\|\n(?:\|.*\|\n)+)", README.read_text(), re.M)
+    header, _, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()]
+    names = [f.name for f in fields(Variant)]
+    assert header == ["variant", *[re.sub("^mu_", "μ_", name).replace("_", " ") for name in names]]
+    shown = {True: "yes", False: "no"}
+    expected = [[f"`{variant}`", *[shown.get(getattr(row, name), getattr(row, name)) for name in names]]
+                for variant, row in VARIANTS.items()]
+    assert rows == expected
+
+
+def test_readme_lists_the_settings_each_noise_kind_reads():
+    (sentence,) = re.findall(r"lists the settings each kind reads besides `kind`:\s(.*?)\.\s", README.read_text(), re.S)
+    listed = [re.findall(r"`(\w+)`", part) for part in sentence.split(";")]
+    assert [(kind, tuple(read)) for kind, *read in listed] == list(KINDS.items())
 
 
 def test_readme_names_exactly_the_command_options():

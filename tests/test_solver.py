@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import qnbench.solver as solver_mod
 from qnbench.bench import derive_oracle_seed
 from qnbench.linesearch import MAX_REJECTIONS
-from qnbench.noise import NoiseModel
+from qnbench.noise import KINDS, NoiseModel
 from qnbench.problems import DESK_SUITE, ObjectiveProblem, get_problem
 from qnbench.regularizer import RegularizerState
 from qnbench.solver import VARIANTS, SolverConfig, solve
@@ -349,6 +349,46 @@ def test_a_variant_without_a_slack_refuses_a_nonzero_eps_f(variant):
     assert math.copysign(1.0, SolverConfig(variant=variant, eps_f=-0.0).eps_f) == 1.0
 
 
+@pytest.mark.parametrize("name", VARIANTS)
+def test_a_variant_row_names_rules_solve_implements(name):
+    variant = VARIANTS[name]
+    # solve implements these two; a row naming another would not run it.
+    assert variant.mu_rule in ("gated", "off")
+    assert isinstance(variant.slack, bool) and isinstance(variant.modified_secant, bool)
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_a_variant_refuses_eps_f_exactly_when_it_has_no_slack(name):
+    try:
+        SolverConfig(variant=name, eps_f=1e-2)
+    except ValueError as exc:
+        assert not VARIANTS[name].slack
+        assert "eps_f" in str(exc)
+        # The message names the variants that do take one.
+        assert all(s in str(exc) for s, v in VARIANTS.items() if v.slack)
+    else:
+        assert VARIANTS[name].slack
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_a_run_follows_its_variant_row(name):
+    # rosenbrock_n2 under uniform 1e-3 (the oracle seed run_matrix derives
+    # for run seed 0), gtol 1e-2, k_max 300, and eps_f 1e-2 where the row
+    # has a slack: every row shifts and takes a slack as its record says.
+    variant = VARIANTS[name]
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=derive_oracle_seed("rosenbrock_n2", 0))
+    cfg = SolverConfig(eps_gtol=1e-2, k_max=300, eps_f=1e-2 if variant.slack else 0.0, variant=name)
+    trace = solve(get_problem("rosenbrock_n2"), model, cfg).trace
+    assert len(trace) > 0
+    if variant.mu_rule == "off":
+        assert all(r.mu == 0.0 for r in trace)
+    else:
+        assert any(r.mu > 0.0 for r in trace)
+    if variant.slack:
+        assert all(r.delta > 0.0 for r in trace)
+    else:
+        assert all(r.delta == 0.0 for r in trace)
+
 def float32_run(eps_f, eps_gtol):
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=1)
     cfg = SolverConfig(eps_gtol=eps_gtol, eps_f=eps_f, k_max=50)
@@ -395,11 +435,13 @@ def whole_runs(draw):
         memory_size=draw(st.integers(1, 12)),
         k_max=draw(st.integers(1, 40)),
         eps_gtol=1e-3,
-        eps_f=draw(st.floats(0.0, 0.5)) if VARIANTS[variant][0] else 0.0,
+        eps_f=draw(st.floats(0.0, 0.5)) if VARIANTS[variant].slack else 0.0,
         variant=variant,
         fresh_fk=draw(st.booleans()),
     )
-    model = replace(draw(NOISE_MODELS), seed=draw(st.integers(0, 2**64 - 1)))
+    model = draw(NOISE_MODELS)
+    if "seed" in KINDS[model.kind]:
+        model = replace(model, seed=draw(st.integers(0, 2**64 - 1)))
     return get_problem(draw(st.sampled_from(DESK_SUITE))), model, cfg
 
 
@@ -437,5 +479,5 @@ def test_whole_loop_properties(run):
             assert r.mu >= RegularizerState.theta_min * r.g_two
     # The slack exceeds 2 eps_f >= 2 level, which bounds the difference of
     # two noisy values at one point: a small enough step always passes.
-    if model.kind == "additive_uniform" and VARIANTS[cfg.variant][0] and cfg.eps_f >= model.level:
+    if model.kind == "additive_uniform" and VARIANTS[cfg.variant].slack and cfg.eps_f >= model.level:
         assert all(r.rejections < MAX_REJECTIONS for r in trace)
