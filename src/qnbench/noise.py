@@ -85,7 +85,8 @@ class NoiseModel:
     grad_mode: str = "percomp"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        # An unhashable kind is refused by name, not by the lookup's TypeError.
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
         # A bool is a number, but True would draw from [-1, 1].
         if not isinstance(self.level, (int, float, np.floating)) or isinstance(self.level, bool):

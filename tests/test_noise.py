@@ -167,6 +167,12 @@ def test_nonfinite_value_is_refused(model, value):
     assert (o.f_calls, o.g_calls) == (1, 1)
 
 
+def test_an_unhashable_kind_is_refused_by_name():
+    # KINDS is a dict: the lookup alone would raise a TypeError for a list.
+    with pytest.raises(ValueError, match="kind"):
+        NoiseModel(kind=["exact"])
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(kind="gaussian")
