@@ -13,14 +13,14 @@ bound. Rejected steps are shrunk by quadratic interpolation clipped to
 ``[BETA_MIN * alpha, BETA_MAX * alpha]``; ``c`` is :data:`ARMIJO_C`.
 
 The search sees the gradient at ``x`` only through the directional
-derivative ``g'd``, which the caller passes in.
+derivative ``g'd``, which the caller passes in, and hands back a finished
+step: the accepted point, its objective value and its gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -37,24 +37,25 @@ MAX_REJECTIONS = 100
 
 @dataclass
 class LineSearchResult:
-    """Outcome of one search.
+    """Outcome of one search, which sets every field.
 
     ``x_new`` is the accepted trial point, the very array the objective was
     probed at: bitwise ``x + alpha * d``, and ``x`` itself when the search
-    ended on an absorbed trial.
+    ended on an absorbed trial. ``f_bar_new`` and ``g_new`` are the
+    objective value and the gradient observed there. ``took_grad_probe``
+    records that a rescale probe was spent; it was spent at the first trial,
+    so it is discarded exactly when the step was ``rescaled``.
     """
 
     alpha: float
     delta: float
     f_bar_new: float
     x_new: Array
+    g_new: Array
     rejections: int  # objective probes beyond the first (keeps call accounting exact)
-    rescaled: bool = False
-    exhausted: bool = False
-    # Gradient at the accepted point when the rescale probe could be reused;
-    # took_grad_probe records that a probe was spent either way.
-    g_new: Optional[Array] = None
-    took_grad_probe: bool = False
+    rescaled: bool
+    exhausted: bool
+    took_grad_probe: bool
 
 
 def _check_eps_f(eps_f: float) -> None:
@@ -113,9 +114,12 @@ def backtrack(
     not run out), one gradient probe at the trial point may rescale the step
     by a secant factor; the rescaled step is re-tested and the pre-rescale
     acceptance is restored if it fails. The rescale follows ``mu`` alone: a
-    caller that keeps ``mu = 0`` never pays for the probe. The probe
-    gradient is handed back via ``g_new`` whenever it was taken at the
-    finally accepted point, which is returned as ``x_new``.
+    caller that keeps ``mu = 0`` never pays for the probe.
+
+    Every search ends with the gradient at the accepted point ``x_new``,
+    returned as ``g_new``: the rescale probe when it was taken there, and
+    otherwise one ``grad_bar`` call at ``x_new``. So a search makes
+    ``1 + rescaled`` gradient calls.
     """
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
@@ -163,17 +167,13 @@ def backtrack(
             if trial.tobytes() == x_bytes:
                 trial = x
 
-    g_new = None
-    took_probe = False
-    rescaled = False
+    took_probe = rescaled = False
     if mu > 0.0 and probes == 1 and not exhausted:
         # The first trial is x + 1.0 * d, bitwise x + d.
-        g_try = oracle.grad_bar(trial)
+        g_new = oracle.grad_bar(trial)
         took_probe = True
-        alpha2 = secant_rescale(d, gtd, g_try)
-        if alpha2 == 1.0:
-            g_new = g_try
-        else:
+        alpha2 = secant_rescale(d, gtd, g_new)
+        if alpha2 != 1.0:
             trial2 = x + alpha2 * d
             f_trial2 = f_bar(trial2)
             probes += 1
@@ -181,17 +181,17 @@ def backtrack(
             if f_bar_x + c * alpha2 * gtd + delta2 >= f_trial2:
                 alpha, f_trial, delta, trial = alpha2, f_trial2, delta2, trial2
                 rescaled = True
-            else:
-                g_new = g_try
+    if rescaled or not took_probe:
+        g_new = oracle.grad_bar(trial)
 
     return LineSearchResult(
         alpha=alpha,
         delta=delta,
         f_bar_new=f_trial,
         x_new=trial,
+        g_new=g_new,
         rejections=probes - 1,
         rescaled=rescaled,
         exhausted=exhausted,
-        g_new=g_new,
         took_grad_probe=took_probe,
     )

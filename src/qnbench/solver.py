@@ -22,11 +22,13 @@ are module constants of :mod:`qnbench.linesearch`, and the regularizer's are
 class constants of ``RegularizerState``; ``SolverConfig`` holds and
 validates the per-run settings.
 
-Oracle calls are the benchmark currency, so the loop is frugal with them:
-the accepted trial value from iteration k is reused as ``f_bar(x_{k+1})``
-(``fresh_fk`` forces a re-evaluation instead), and the gradient probe spent
-by a step rescale is reused as the next gradient whenever it was taken at
-the finally accepted point.
+Oracle calls are the benchmark currency, so the loop is frugal with them.
+The line search hands back a finished step: the accepted point, the trial
+value observed there, reused as ``f_bar(x_{k+1})`` (``fresh_fk`` forces a
+re-evaluation instead), and the gradient there, which is the next one. So
+outside the search the loop calls the oracle only at ``x_0`` and for
+``fresh_fk``. A search that rescales its step discards the gradient probe
+it took at the first trial.
 
 Each iteration appends one row to the run's open columns: a scalar per
 stored :class:`IterationRecord` field, in ``array('d')`` for a float field
@@ -239,7 +241,10 @@ class SolveResult:
     ``status`` is ``converged``, ``max_iters`` or ``oracle_error``: the
     oracle refused a point, or a finite gradient's squared norm overflowed.
     An ``oracle_error`` result keeps the partial trace and call counts, and
-    leaves ``final_f_bar``/``final_g_inf`` NaN.
+    leaves ``final_f_bar``/``final_g_inf`` NaN. ``discarded_grad_probes``
+    counts the searches that rescaled their step, and so left their rescale
+    probe's gradient unused; a run that does not end in ``oracle_error`` has
+    ``g_calls == 1 + iterations + discarded_grad_probes``.
     """
 
     status: str
@@ -309,13 +314,10 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
             if eligible:
                 reg.register_k0(f_bar, res.delta)
 
-            x_new = res.x_new
-            if res.g_new is not None:
-                g_new = res.g_new
-            else:
-                g_new = oracle.grad_bar(x_new)
-                if res.took_grad_probe:
-                    discarded += 1
+            x_new, g_new = res.x_new, res.g_new
+            # The rescale probe was taken at the first trial, which a
+            # rescaled step leaves behind.
+            discarded += res.rescaled
 
             s = x_new - x
             if float(s.dot(s)) > 0.0:

@@ -83,9 +83,9 @@ def backtrack(
     When ``mu > 0``, ``allow_rescale`` is set and the very first trial is
     accepted, one gradient probe at the trial point may rescale the step by a
     secant factor; the rescaled step is re-tested and the pre-rescale
-    acceptance is restored if it fails. The probe gradient is handed back via
-    ``g_new`` whenever it was taken at the finally accepted point, which is
-    returned as ``x_new``.
+    acceptance is restored if it fails. The search ends with the gradient at
+    the accepted point ``x_new``, returned as ``g_new``: the probe when it
+    was taken there, and otherwise one ``grad_bar`` call at ``x_new``.
     """
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
@@ -132,15 +132,17 @@ def backtrack(
                 rescaled = True
             else:
                 g_new = g_try
+    if g_new is None:
+        g_new = oracle.grad_bar(trial)
 
     return LineSearchResult(
         alpha=alpha,
         delta=delta,
         f_bar_new=f_trial,
         x_new=trial,
+        g_new=g_new,
         rejections=probes - 1,
         rescaled=rescaled,
         exhausted=exhausted,
-        g_new=g_new,
         took_grad_probe=took_probe,
     )

@@ -205,7 +205,7 @@ class TestAggregation:
         assert aggregate_seeds(records)[("p", "s")] == INF
         # No seed converged: the more-than-half test alone gives the failure.
         for n in (1, 2, 4):
-            none = [rec("q", "s", seed=i, status="timeout", calls=INF) for i in range(n)]
+            none = [rec("q", "s", seed=i, status="max_iters", calls=INF) for i in range(n)]
             assert aggregate_seeds(none) == {("q", "s"): INF}
 
     def test_half_failures_still_counts(self):
@@ -236,7 +236,7 @@ class TestPerformanceProfile:
 
     def test_problem_failed_by_all_is_dropped_with_warning(self):
         records = [rec("good", "A", calls=10.0), rec("good", "B", calls=10.0)]
-        records += [rec("bad", s, status="timeout", calls=INF) for s in "AB"]
+        records += [rec("bad", s, status="max_iters", calls=INF) for s in "AB"]
         with pytest.warns(UserWarning, match="dropped"):
             curves = performance_profile(records)
         # _profile warns nothing: its caller, the profile command, reports
@@ -804,7 +804,7 @@ sphere_n10,baseline_line,0,converged,8,4,3,0.0,0.0,0.1
 sphere_n10,baseline_line,1,converged,8,4,3,0.0,0.0,0.1
 sphere_n10,ours,0,converged,6,4,3,0.0,0.0,0.1
 sphere_n10,ours,1,converged,7,4,3,0.0,0.0,0.1
-wood_n4,baseline_line,0,timeout,10,5,4,1.0,1.0,600000.0
+wood_n4,baseline_line,0,max_iters,10,5,4,1.0,1.0,600000.0
 wood_n4,baseline_line,1,oracle_error,10,5,4,nan,nan,1.0
 wood_n4,ours,0,max_iters,10,5,4,1.0,1.0,5.0
 wood_n4,ours,1,max_iters,10,5,4,1.0,1.0,5.0

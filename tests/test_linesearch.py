@@ -230,6 +230,7 @@ class TestAcceptedPoint:
             "rescale refused": res.took_grad_probe and not res.rescaled and res.alpha == 1.0,
         }
         assert flags[label]
+        assert o.g_calls == 1 + res.rescaled
         if isinstance(o, FixedOracle):
             # the accepted point is the last point the objective was probed
             # at, or the first trial when the rescaled one was refused
@@ -266,37 +267,43 @@ class TestSecantRescale:
 
 
 class TestRescaleFlow:
-    def test_probe_reused_when_guard_fails(self):
-        # exact quadratic, d = -g: trial gradient stays negative along d, no
-        # sign change, so alpha stays 1 and the probe is handed back
+    """A search hands back the gradient at the point it accepts, and spends
+    ``1 + rescaled`` gradient calls: the rescale probe is lost exactly when
+    the rescaled step is taken."""
+
+    @staticmethod
+    def search(d, mu, eps_f):
         p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
         o = NoisyOracle(p, NoiseModel())
-        res = backtrack(o, np.array([1.0]), np.array([-0.5]), -0.5, 0.5, mu=1.0, eps_f=0.0)
+        res = backtrack(o, np.array([1.0]), np.array([d]), d, 0.5, mu=mu, eps_f=eps_f)
+        assert res.g_new.tobytes() == p.grad(res.x_new).tobytes()
+        assert o.g_calls == 1 + res.rescaled
+        return res, o
+
+    def test_probe_reused_when_guard_fails(self):
+        # exact quadratic, d = -g / 2: the trial gradient stays negative
+        # along d, no sign change, so alpha stays 1 and the probe is the
+        # gradient handed back
+        res, o = self.search(-0.5, mu=1.0, eps_f=0.0)
         assert res.alpha == 1.0
         assert not res.rescaled
         assert res.took_grad_probe
-        assert res.g_new is not None
-        assert o.g_calls == 1
 
     def test_rescale_applied_and_probe_discarded(self):
         # overshooting step on a quadratic: directional derivative flips sign,
         # rescale brings alpha to the exact line minimum at 0.5
-        p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
-        o = NoisyOracle(p, NoiseModel())
-        res = backtrack(o, np.array([1.0]), np.array([-2.0]), -2.0, 0.5, mu=1.0, eps_f=0.2)
+        res, o = self.search(-2.0, mu=1.0, eps_f=0.2)
         assert res.rescaled
         assert res.alpha == pytest.approx(0.5)
-        assert res.g_new is None
         assert res.took_grad_probe
+        assert o.g_calls == 2  # the probe at x + d, then the gradient at x_new
         assert res.rejections == 1  # superseded first trial counts as one probe
         assert o.f_calls == 2
 
     def test_no_rescale_for_zero_mu(self):
-        p = scalar_problem(lambda t: 0.5 * t * t, lambda t: t)
-        o = NoisyOracle(p, NoiseModel())
-        res = backtrack(o, np.array([1.0]), np.array([-1.0]), -1.0, 0.5, mu=0.0, eps_f=0.0)
+        res, o = self.search(-1.0, mu=0.0, eps_f=0.0)
         assert not res.took_grad_probe
-        assert o.g_calls == 0
+        assert o.g_calls == 1  # the gradient at x_new only
 
 
 class ScriptedOracle:
@@ -318,10 +325,9 @@ class ScriptedOracle:
 
 
 def _fields(res, x):
-    g_new = None if res.g_new is None else res.g_new.tobytes()
     return (
         res.alpha.hex(), res.delta.hex(), res.f_bar_new.hex(), res.x_new.tobytes(), res.x_new is x,
-        res.rejections, res.rescaled, res.exhausted, g_new, res.took_grad_probe,
+        res.g_new.tobytes(), res.rejections, res.rescaled, res.exhausted, res.took_grad_probe,
     )
 
 
@@ -424,6 +430,13 @@ class TestMatchesReference:
             expected = reference.backtrack(ref, x, d, gtd, f0, mu=mu, allow_rescale=True, eps_f=eps_f)
         assert _fields(res, x) == _fields(expected, x)
         assert ours.calls == ref.calls
+        # The last gradient is taken at the accepted point, and it is the last
+        # call unless a refused rescale probed the objective after it.
+        g_points = [point for kind, point in ours.calls if kind == "g"]
+        assert len(g_points) == 1 + res.rescaled
+        assert g_points[-1] == res.x_new.tobytes()
+        refused = res.took_grad_probe and not res.rescaled and res.rejections == 1
+        assert (ours.calls[-1] == ("g", res.x_new.tobytes())) != refused
         assert BRANCHES[branch](res), branch
         if branch.startswith("absorbed"):
             assert res.x_new is x or ours.calls[-1][1] == x.tobytes()

@@ -149,6 +149,35 @@ def test_oracle_call_accounting(variant, problem, noisy):
     assert res.g_calls == 1 + res.iterations + res.discarded_grad_probes
 
 
+@pytest.mark.parametrize("noisy", [True, False], ids=["uniform:1e-3", "exact"])
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_discarded_probes_are_the_rescaled_searches(monkeypatch, variant, noisy):
+    # A rescale probe is taken at the first trial, so it is lost exactly when
+    # the search takes the rescaled step instead.
+    backtrack = solver_mod.backtrack
+    rescaled = []
+
+    def counting_backtrack(*args, **kwargs):
+        res = backtrack(*args, **kwargs)
+        rescaled.append(res.rescaled)
+        return res
+
+    monkeypatch.setattr(solver_mod, "backtrack", counting_backtrack)
+    name = "illcond_quadratic_n10"
+    if noisy:
+        model, eps_f = NoiseModel(kind="additive_uniform", level=1e-3, seed=derive_oracle_seed(name, 0)), 1e-2
+    else:
+        model, eps_f = NoiseModel(), 2.22e-9
+    cfg = SolverConfig(eps_gtol=1e-8, eps_f=eps_f if VARIANTS[variant].slack else 0.0, k_max=300, variant=variant)
+    res = solve(get_problem(name), model, cfg)
+    assert len(rescaled) == res.iterations
+    assert res.discarded_grad_probes == sum(rescaled)
+    if VARIANTS[variant].mu_rule == "off":
+        assert res.discarded_grad_probes == 0
+    else:
+        assert res.discarded_grad_probes > 0
+
+
 def test_fresh_fk_costs_one_extra_call_per_iteration():
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=9)
     base = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="ours")
