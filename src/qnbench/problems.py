@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -326,53 +325,68 @@ def make_quartic(n: int) -> ObjectiveProblem:
     return ObjectiveProblem(f"quartic_n{n}", f, grad, np.ones(n), 0.0)
 
 
-@lru_cache(maxsize=1)
-def _registry() -> tuple:
-    probs = [
-        make_sphere(2),
-        make_sphere(10),
-        make_sphere(100),
-        make_sphere(1000),
-        make_illcond_quadratic(10),
-        make_illcond_quadratic(100),
-        make_illcond_quadratic(1000),
-        make_illcond_quadratic(10000),
-        make_logspaced_quadratic(10),
-        make_logspaced_quadratic(100),
-        dataclasses.replace(make_chained_rosenbrock(2), name="rosenbrock_n2"),
-        make_chained_rosenbrock(10),
-        make_chained_rosenbrock(100),
-        make_ext_rosenbrock(10),
-        make_ext_rosenbrock(100),
-        make_beale(),
-        make_wood(),
-        make_ext_powell(20),
-        make_ext_powell(100),
-        make_dixon_price(10),
-        make_dixon_price(100),
-        make_trigonometric(10),
-        make_trigonometric(100),
-        make_broyden_tridiagonal(10),
-        make_broyden_tridiagonal(100),
-        make_broyden_tridiagonal(1000),
-        make_penalty1(10),
-        make_penalty1(100),
-        make_quartic(10),
-        make_quartic(100),
-    ]
-    return tuple(probs)
+# One constructor per registered name, in the order ``registry()`` lists
+# them. Nothing is built until a name is asked for.
+_CONSTRUCTORS: dict[str, Callable[[], ObjectiveProblem]] = {
+    "sphere_n2": lambda: make_sphere(2),
+    "sphere_n10": lambda: make_sphere(10),
+    "sphere_n100": lambda: make_sphere(100),
+    "sphere_n1000": lambda: make_sphere(1000),
+    "illcond_quadratic_n10": lambda: make_illcond_quadratic(10),
+    "illcond_quadratic_n100": lambda: make_illcond_quadratic(100),
+    "illcond_quadratic_n1000": lambda: make_illcond_quadratic(1000),
+    "illcond_quadratic_n10000": lambda: make_illcond_quadratic(10000),
+    "logspaced_quadratic_n10": lambda: make_logspaced_quadratic(10),
+    "logspaced_quadratic_n100": lambda: make_logspaced_quadratic(100),
+    "rosenbrock_n2": lambda: dataclasses.replace(make_chained_rosenbrock(2), name="rosenbrock_n2"),
+    "chained_rosenbrock_n10": lambda: make_chained_rosenbrock(10),
+    "chained_rosenbrock_n100": lambda: make_chained_rosenbrock(100),
+    "ext_rosenbrock_n10": lambda: make_ext_rosenbrock(10),
+    "ext_rosenbrock_n100": lambda: make_ext_rosenbrock(100),
+    "beale_n2": make_beale,
+    "wood_n4": make_wood,
+    "ext_powell_n20": lambda: make_ext_powell(20),
+    "ext_powell_n100": lambda: make_ext_powell(100),
+    "dixon_price_n10": lambda: make_dixon_price(10),
+    "dixon_price_n100": lambda: make_dixon_price(100),
+    "trigonometric_n10": lambda: make_trigonometric(10),
+    "trigonometric_n100": lambda: make_trigonometric(100),
+    "broyden_tridiag_n10": lambda: make_broyden_tridiagonal(10),
+    "broyden_tridiag_n100": lambda: make_broyden_tridiagonal(100),
+    "broyden_tridiag_n1000": lambda: make_broyden_tridiagonal(1000),
+    "penalty1_n10": lambda: make_penalty1(10),
+    "penalty1_n100": lambda: make_penalty1(100),
+    "quartic_n10": lambda: make_quartic(10),
+    "quartic_n100": lambda: make_quartic(100),
+}
+_BUILT: dict[str, ObjectiveProblem] = {}
 
 
 def registry() -> list[ObjectiveProblem]:
-    """All built-in problems, in a stable order."""
-    return list(_registry())
+    """All built-in problems, in a stable order; builds every one not yet
+    built."""
+    return [get_problem(name) for name in _CONSTRUCTORS]
 
 
 def get_problem(name: str) -> ObjectiveProblem:
-    for p in _registry():
-        if p.name == name:
-            return p
-    raise KeyError(f"unknown problem {name!r}")
+    """The built-in problem ``name``.
+
+    It is built, and so checked at ``x0``, when a call first names it, and
+    every later call returns the same object. An unknown name raises
+    ``KeyError``; a constructor whose problem has another name raises
+    ``ValueError``.
+    """
+    # An unhashable name is refused by name, not by the lookup's TypeError.
+    if not isinstance(name, str) or name not in _CONSTRUCTORS:
+        raise KeyError(f"unknown problem {name!r}")
+    problem = _BUILT.get(name)
+    if problem is None:
+        problem = _CONSTRUCTORS[name]()
+        if problem.name != name:
+            raise ValueError(f"the constructor registered as {name!r} builds {problem.name!r}")
+        # Two threads may build one name at once; both keep the first stored.
+        problem = _BUILT.setdefault(name, problem)
+    return problem
 
 
 # 15 small problems (n <= 100) used for desk-scale benchmark runs.
@@ -401,5 +415,5 @@ def suite_names(spec: str) -> list[str]:
     if spec == "desk":
         return list(DESK_SUITE)
     if spec == "all":
-        return [p.name for p in _registry()]
+        return list(_CONSTRUCTORS)
     return [s.strip() for s in spec.split(",") if s.strip()]

@@ -59,7 +59,6 @@ def backtrack(
     gtd: float,
     f_bar_x: float,
     mu: float = 0.0,
-    allow_rescale: bool = False,
     *,
     eps_f: float,
 ) -> LineSearchResult:
@@ -80,12 +79,12 @@ def backtrack(
     probed without recomputing the trial; each probe still makes exactly
     one ``f_bar`` call, so call counts and noise draws are unchanged.
 
-    When ``mu > 0``, ``allow_rescale`` is set and the very first trial is
-    accepted, one gradient probe at the trial point may rescale the step by a
-    secant factor; the rescaled step is re-tested and the pre-rescale
-    acceptance is restored if it fails. The search ends with the gradient at
-    the accepted point ``x_new``, returned as ``g_new``: the probe when it
-    was taken there, and otherwise one ``grad_bar`` call at ``x_new``.
+    When ``mu > 0`` and the very first trial is accepted, one gradient
+    probe at the trial point may rescale the step by a secant factor; the
+    rescaled step is re-tested and the pre-rescale acceptance is restored if
+    it fails. The search ends with the gradient at the accepted point
+    ``x_new``, returned as ``g_new``: the probe when it was taken there, and
+    otherwise one ``grad_bar`` call at ``x_new``.
     """
     _check_eps_f(eps_f)
     f_bar = oracle.f_bar
@@ -115,7 +114,7 @@ def backtrack(
     g_new = None
     took_probe = False
     rescaled = False
-    if allow_rescale and mu > 0.0 and probes == 1 and not exhausted:
+    if mu > 0.0 and probes == 1 and not exhausted:
         # The first trial is x + 1.0 * d, bitwise x + d.
         g_try = oracle.grad_bar(trial)
         took_probe = True

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import qnbench.bench as bench_mod
+import qnbench.problems as problems_mod
 from qnbench.bench import (
     INF,
     METRICS,
@@ -61,11 +62,22 @@ class TestRunMatrix:
         assert r.status == "converged"
         assert r.f_calls + r.g_calls < 50
 
-    def test_unknown_names_fail_before_running(self):
-        with pytest.raises(KeyError):
-            run_matrix(["nope_n1"], ["ours"], NoiseModel(), 1e-2, [0])
+    def test_unknown_names_fail_before_running(self, monkeypatch):
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench_mod, "_execute", no_run)
+        for suite in (["nope_n1"], ["sphere_n10", "nope_n1"]):
+            with pytest.raises(KeyError, match="unknown problem 'nope_n1'"):
+                run_matrix(suite, ["ours"], NoiseModel(), 1e-2, [0])
         with pytest.raises(ValueError):
             run_matrix(["sphere_n10"], ["warp_drive"], NoiseModel(), 1e-2, [0])
+
+    def test_builds_only_the_problems_it_names(self, monkeypatch):
+        monkeypatch.setattr(problems_mod, "_BUILT", {})
+        records = run_matrix(["wood_n4", "beale_n2"], ["ours"], NoiseModel(), 1e-2, [0], base_cfg=SMALL_CFG)
+        assert len(records) == 2
+        assert list(problems_mod._BUILT) == ["wood_n4", "beale_n2"]
 
     def test_out_of_range_seeds_fail_before_running(self, monkeypatch):
         # Outside [0, 2**63) derived oracle seeds alias: -1 would silently

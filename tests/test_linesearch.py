@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import linesearch_reference as reference
@@ -415,19 +415,18 @@ BRANCHES = {
 class TestMatchesReference:
     """``backtrack`` repeats the reference search bit for bit."""
 
+    # Without the shrink phase a failure reports the first failing example
+    # and ends in seconds; shrinking the ten branches' examples took minutes.
     @pytest.mark.parametrize("branch", list(BRANCHES))
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     def test_same_result_and_oracle_calls(self, branch, data):
         x, d, g, f0, eps_f, values, grad, mu = data.draw(search_case(branch))
         ours, ref = ScriptedOracle(values, grad), ScriptedOracle(values, grad)
         with np.errstate(over="ignore", invalid="ignore"):
             gtd = float(g.dot(d))
             res = backtrack(ours, x, d, gtd, f0, mu=mu, eps_f=eps_f)
-            # The reference gates the rescale on a flag as well as on
-            # ``mu > 0``; with the flag set it gates on ``mu`` alone, as
-            # ``backtrack`` does.
-            expected = reference.backtrack(ref, x, d, gtd, f0, mu=mu, allow_rescale=True, eps_f=eps_f)
+            expected = reference.backtrack(ref, x, d, gtd, f0, mu=mu, eps_f=eps_f)
         assert _fields(res, x) == _fields(expected, x)
         assert ours.calls == ref.calls
         # The last gradient is taken at the accepted point, and it is the last

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finite_diff import finite_diff_gradient
+import qnbench.problems as problems_mod
 from qnbench.problems import (
     DESK_SUITE,
     LastValueMemo,
@@ -12,6 +13,7 @@ from qnbench.problems import (
     make_ext_powell,
     make_ext_rosenbrock,
     make_illcond_quadratic,
+    make_sphere,
     registry,
     suite_names,
 )
@@ -60,13 +62,6 @@ def test_replace_wraps_the_objective_once():
     assert q.f is p.f
     x = np.array([0.5, -0.25])
     assert q.f(x) == p.f.__wrapped__(x)
-
-
-def test_registry_size_and_unique_names():
-    probs = registry()
-    assert len(probs) >= 15
-    names = [p.name for p in probs]
-    assert len(set(names)) == len(names)
 
 
 def test_names_encode_dimension():
@@ -180,6 +175,60 @@ def test_block_problems_refuse_a_dimension_the_blocks_do_not_divide(make, n):
         make(n)
 
 
+REGISTRY_NAMES = [
+    "sphere_n2", "sphere_n10", "sphere_n100", "sphere_n1000",
+    "illcond_quadratic_n10", "illcond_quadratic_n100", "illcond_quadratic_n1000", "illcond_quadratic_n10000",
+    "logspaced_quadratic_n10", "logspaced_quadratic_n100",
+    "rosenbrock_n2", "chained_rosenbrock_n10", "chained_rosenbrock_n100",
+    "ext_rosenbrock_n10", "ext_rosenbrock_n100",
+    "beale_n2", "wood_n4", "ext_powell_n20", "ext_powell_n100",
+    "dixon_price_n10", "dixon_price_n100", "trigonometric_n10", "trigonometric_n100",
+    "broyden_tridiag_n10", "broyden_tridiag_n100", "broyden_tridiag_n1000",
+    "penalty1_n10", "penalty1_n100", "quartic_n10", "quartic_n100",
+]
+
+
+def test_registry_lists_its_names_in_a_fixed_order():
+    assert [p.name for p in registry()] == REGISTRY_NAMES
+
+
+def test_no_problem_exceeds_n_1e4():
+    # Above 1e4 entries OpenBLAS splits a ddot across threads, so a run's
+    # last bits would depend on the host's thread count.
+    assert max(p.x0.size for p in registry()) == 10_000
+
+
+def test_each_name_builds_one_problem_of_that_name_once(monkeypatch):
+    monkeypatch.setattr(problems_mod, "_BUILT", {})
+    assert suite_names("all") == REGISTRY_NAMES
+    assert problems_mod._BUILT == {}  # naming the suite builds nothing
+    first = {name: get_problem(name) for name in REGISTRY_NAMES}
+    for name, problem in first.items():
+        assert problem.name == name
+        assert get_problem(name) is problem
+    assert all(a is b for a, b in zip(registry(), first.values()))
+
+
+def test_a_constructor_building_another_name_is_refused(monkeypatch):
+    monkeypatch.setattr(problems_mod, "_BUILT", {})
+    monkeypatch.setitem(problems_mod._CONSTRUCTORS, "sphere_n3", lambda: make_sphere(2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'sphere_n3' builds 'sphere_n2'"):
+            get_problem("sphere_n3")
+    assert problems_mod._BUILT == {}
+
+
+def test_a_problem_is_checked_when_first_named(monkeypatch):
+    monkeypatch.setattr(problems_mod, "_BUILT", {})
+    monkeypatch.setitem(
+        problems_mod._CONSTRUCTORS, "nan_n1",
+        lambda: ObjectiveProblem("nan_n1", lambda x: float("nan"), lambda x: x, np.zeros(1)),
+    )
+    with pytest.raises(ValueError, match="nan_n1: f or grad not finite at x0"):
+        get_problem("nan_n1")
+    assert problems_mod._BUILT == {}
+
+
 def test_suite_resolution():
     assert suite_names("desk") == list(DESK_SUITE)
     assert len(DESK_SUITE) == 15
@@ -188,6 +237,7 @@ def test_suite_resolution():
     assert suite_names("sphere_n10,beale_n2") == ["sphere_n10", "beale_n2"]
 
 
-def test_get_problem_unknown():
-    with pytest.raises(KeyError):
-        get_problem("bogus_n3")
+@pytest.mark.parametrize("name", ["bogus_n3", ["sphere_n2"], None])
+def test_get_problem_unknown(name):
+    with pytest.raises(KeyError, match="unknown problem"):
+        get_problem(name)
