@@ -251,12 +251,18 @@ def aggregate_seeds(records: Sequence[RunRecord], metric: str = METRICS[0]) -> d
 
     A run costs ``f_calls + g_calls`` under ``both`` and ``f_calls`` under
     ``f_only`` when it converged, and ``inf`` otherwise. A ``metric`` not in
-    ``METRICS`` is refused with a ``ValueError``.
+    ``METRICS``, and a (problem, solver, seed) that two records share, are
+    refused with a ``ValueError``: the seeds of a solver are its runs.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     groups: dict[tuple[str, str], list[float]] = {}
+    seen = set()
     for r in records:
+        run = (r.problem, r.solver, r.seed)
+        if run in seen:
+            raise ValueError(f"run {run} repeated: its runs would be counted twice")
+        seen.add(run)
         if r.status != "converged":
             n = INF
         else:
@@ -281,7 +287,8 @@ def performance_profile(records: Sequence[RunRecord], metric: str = METRICS[0]) 
     Curves are sampled at tau = 1 and at every distinct finite ratio; failed
     runs have infinite ratio and never enter any curve value. To profile
     fewer solvers, pass only their records. Problems failed by every solver
-    are dropped with a warning that counts them.
+    are dropped with a warning that counts them. No records, and a run that
+    two records share, are refused with a ``ValueError``.
     """
     curves, _, dropped = _profile(records, metric)
     if dropped:
@@ -294,7 +301,10 @@ def _profile(
 ) -> tuple[list[ProfileCurve], list[str], list[str]]:
     """:func:`performance_profile` with the counted and dropped problems of
     the one seed aggregation it runs, and no warning: its caller reports the
-    dropped ones."""
+    dropped ones. No records, which give no solver a curve, are refused
+    with a ``ValueError``."""
+    if not records:
+        raise ValueError("no run records to profile")
     solvers = list(dict.fromkeys(r.solver for r in records))
     agg = aggregate_seeds(records, metric)
     kept, dropped = [], []

@@ -75,8 +75,7 @@ def main():
 @click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False), help="Output runs CSV.")
 @click.option("--trace-dir", type=click.Path(file_okay=False), default=None, help="Write one per-iteration trace CSV per run.")
-@click.option("--fresh-fk", is_flag=True, help="Re-evaluate the objective at each iterate instead of reusing the accepted trial value.")
-def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path, trace_dir, fresh_fk):
+def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path, trace_dir):
     """Run the benchmark matrix and write one CSV row per run."""
     model = parse_noise(noise)
     eps_f = parse_eps_f(eps_f)
@@ -85,7 +84,7 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
     # Ask for run_matrix's refusals before any run, so that they are usage
     # errors while an error raised during a run still ends in a traceback.
     try:
-        cfg = SolverConfig(k_max=kmax, fresh_fk=fresh_fk)
+        cfg = SolverConfig(k_max=kmax)
         matrix = (suite_names(suite), solver_list, model, gtol, seed_list, jobs)
         settings = dict(eps_f=eps_f, base_cfg=cfg)
         _plan(*matrix, **settings)
@@ -123,9 +122,15 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
 def profile_command(in_path, out_path, svg_path, metric):
     """Compute performance-profile curves from a runs CSV."""
     records = read_runs_csv(in_path)
-    if not records:
-        raise click.BadParameter(f"{in_path} holds no run records", param_hint="--in")
-    curves, kept, dropped = _profile(records, metric)
+    try:
+        curves, kept, dropped = _profile(records, metric)
+    except ValueError as exc:
+        raise click.BadParameter(f"{in_path}: {exc}", param_hint="--in") from None
+    # Make the output directories before the first write, so that a profile
+    # is written whole or not at all.
+    for path in (out_path, svg_path):
+        if path is not None:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     emit_csv(curves, out_path)
     click.echo(f"profiled {len(kept)} problems ({len(dropped)} dropped: failed for every solver)")
     for c in curves:

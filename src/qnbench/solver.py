@@ -14,7 +14,9 @@ of the machinery, and the table ``VARIANTS`` maps each variant name to the
   nor a shift is the classical comparator, a conventional line-search
   L-BFGS in the same cost accounting;
 - ``modified_secant``: the gradient difference is corrected by function
-  values before it is damped and screened.
+  values before it is damped and screened;
+- ``fresh_fk``: the objective is evaluated again at each iterate after the
+  first, rather than taken from the line search (see below).
 
 In every variant the direction is the shifted two-loop one, and the damped,
 screened curvature pair is fed back into memory. The line-search constants
@@ -24,11 +26,11 @@ validates the per-run settings.
 
 Oracle calls are the benchmark currency, so the loop is frugal with them.
 The line search hands back a finished step: the accepted point, the trial
-value observed there, reused as ``f_bar(x_{k+1})`` (``fresh_fk`` forces a
-re-evaluation instead), and the gradient there, which is the next one. So
-outside the search the loop calls the oracle only at ``x_0`` and for
-``fresh_fk``. A search that rescales its step discards the gradient probe
-it took at the first trial.
+value observed there, reused as ``f_bar(x_{k+1})`` unless the variant
+has ``fresh_fk``, and the gradient there, which is the next one. So outside
+the search the loop calls the oracle only at ``x_0`` and for a ``fresh_fk``
+variant's re-evaluation. A search that rescales its step discards the
+gradient probe it took at the first trial.
 
 Each iteration appends one row to the run's open columns: a scalar per
 stored :class:`IterationRecord` field, in ``array('d')`` for a float field
@@ -71,13 +73,16 @@ class Variant:
     slack: bool
     mu_rule: str  # "gated" or "off"
     modified_secant: bool
+    fresh_fk: bool
 
 
 VARIANTS = {
-    "ours": Variant(slack=True, mu_rule="gated", modified_secant=False),
-    "ours_ms": Variant(slack=True, mu_rule="gated", modified_secant=True),
-    "baseline_line": Variant(slack=False, mu_rule="off", modified_secant=False),
-    "baseline_line_ms": Variant(slack=False, mu_rule="off", modified_secant=True),
+    "ours": Variant(slack=True, mu_rule="gated", modified_secant=False, fresh_fk=False),
+    "ours_ms": Variant(slack=True, mu_rule="gated", modified_secant=True, fresh_fk=False),
+    "ours_fresh": Variant(slack=True, mu_rule="gated", modified_secant=False, fresh_fk=True),
+    "baseline_line": Variant(slack=False, mu_rule="off", modified_secant=False, fresh_fk=False),
+    "baseline_line_ms": Variant(slack=False, mu_rule="off", modified_secant=True, fresh_fk=False),
+    "baseline_line_fresh": Variant(slack=False, mu_rule="off", modified_secant=False, fresh_fk=True),
 }
 
 
@@ -85,11 +90,11 @@ VARIANTS = {
 class SolverConfig:
     """Per-run settings, validated when built. ``k_max`` is a run's only budget.
 
-    ``memory_size`` and ``k_max`` are ints, ``eps_gtol`` and ``eps_f`` ints or
-    floats, stored as ``float``, and ``fresh_fk`` a bool; a ``bool`` counts
-    as none of the numbers. ``eps_f`` is the error rate of the relaxed
-    Armijo test's slack, which only a variant with ``slack`` has: any other
-    variant refuses a nonzero one.
+    ``memory_size`` and ``k_max`` are ints, and ``eps_gtol`` and ``eps_f``
+    ints or floats, stored as ``float``; a ``bool`` counts as none of them.
+    ``eps_f`` is the error rate of the relaxed Armijo test's slack, which
+    only a variant with ``slack`` has: any other variant refuses a nonzero
+    one. Everything else about a run's algorithm is its ``variant``'s row.
     """
 
     memory_size: int = 10
@@ -97,7 +102,6 @@ class SolverConfig:
     eps_gtol: float = 1e-5
     eps_f: float = 0.0
     variant: str = "ours"
-    fresh_fk: bool = False
 
     def __post_init__(self):
         # A bool is an int, but True would run as 1.
@@ -125,9 +129,6 @@ class SolverConfig:
         if self.eps_f != 0.0 and not VARIANTS[self.variant].slack:
             slack = tuple(name for name, v in VARIANTS.items() if v.slack)
             raise ValueError(f"eps_f is the slack of the variants {slack}, got {self.eps_f!r} for {self.variant}")
-        # A truthy string such as "no" would re-evaluate f at every iterate.
-        if not isinstance(self.fresh_fk, bool):
-            raise ValueError(f"fresh_fk must be a bool, got {self.fresh_fk!r}")
 
 
 @dataclass
@@ -290,7 +291,7 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
             if g_inf <= cfg.eps_gtol:
                 status = "converged"
                 break
-            if cfg.fresh_fk and k > 0:
+            if variant.fresh_fk and k > 0:
                 f_bar = oracle.f_bar(x)
 
             gg = float(g.dot(g))

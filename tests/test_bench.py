@@ -176,7 +176,7 @@ class TestRunMatrix:
             base_cfg=SolverConfig(k_max=200), keep_traces=True,
         )
         runs = {s: [replace(r, seed=0, wall_ms=0.0) for r in records if r.seed == s] for s in (0, 1)}
-        assert len(runs[0]) == 8 and runs[0] == runs[1]
+        assert len(runs[0]) == 2 * len(VARIANTS) and runs[0] == runs[1]
         for problem, solver, seed in traces:
             assert traces[problem, solver, seed] == traces[problem, solver, 1 - seed]
 
@@ -220,6 +220,21 @@ class TestAggregation:
             none = [rec("q", "s", seed=i, status="max_iters", calls=INF) for i in range(n)]
             assert aggregate_seeds(none) == {("q", "s"): INF}
 
+    def test_a_run_counted_twice_is_refused(self):
+        # Two matrices joined together, one of them recording its fresh
+        # objective runs under the plain name: the median of its two
+        # "seeds" 0 would be 728.5, a cost that neither algorithm has.
+        plain, fresh = run_matrix(["beale_n2"], ["baseline_line", "baseline_line_fresh"], UNIFORM, 1e-2, [0])
+        assert (plain.f_calls + plain.g_calls, fresh.f_calls + fresh.g_calls) == (1397, 60)
+        joined = [plain, replace(fresh, solver="baseline_line")]
+        for profile in (aggregate_seeds, performance_profile, _profile):
+            with pytest.raises(ValueError, match=r"\('beale_n2', 'baseline_line', 0\) repeated"):
+                profile(joined)
+        # Under its own name the fresh run is a solver of its own.
+        assert aggregate_seeds([plain, fresh]) == {
+            ("beale_n2", "baseline_line"): 1397.0, ("beale_n2", "baseline_line_fresh"): 60.0,
+        }
+
     def test_half_failures_still_counts(self):
         records = [rec("p", "s", seed=i, calls=100.0 * (i + 1)) for i in range(2)]
         records += [rec("p", "s", seed=2 + i, status="max_iters", calls=INF) for i in range(2)]
@@ -227,6 +242,13 @@ class TestAggregation:
 
 
 class TestPerformanceProfile:
+    def test_no_records_are_refused(self):
+        # No solver would get a curve, and an empty curve list would write
+        # the runs header into a profile file.
+        for profile in (performance_profile, _profile):
+            with pytest.raises(ValueError, match="no run records"):
+                profile([])
+
     def test_two_solver_hand_example(self):
         records = [rec("p", "A", calls=100.0), rec("p", "B", calls=200.0)]
         curves = {c.solver: c for c in performance_profile(records)}
@@ -603,23 +625,26 @@ class TestCli:
         assert not out.exists()
 
     def test_flag_passthrough(self, tmp_path):
-        # --fresh-fk and a --noise gradient mode must reach the solver layer.
-        # --metric is a profile option (TestProfileCommand), which run refuses,
-        # and the gradient mode is part of --noise, not an option of its own.
+        # A solver name and a --noise gradient mode must reach the solver
+        # layer. --metric is a profile option (TestProfileCommand), which run
+        # refuses; the gradient mode is part of --noise and the fresh
+        # objective part of the solver name, neither an option of its own.
         runner = CliRunner()
         plain, fresh, rank1 = tmp_path / "plain.csv", tmp_path / "fresh.csv", tmp_path / "rank1.csv"
         common = ["run", "--suite", "beale_n2", "--solver", "ours", "--noise", "uniform:1e-3",
                   "--gtol", "1e-2", "--kmax", "400", "--seeds", "0"]
-        for option, value in (("--metric", "f_only"), ("--noise-grad-mode", "rank1")):
-            result = runner.invoke(main, common + ["--out", str(plain), option, value])
-            assert result.exit_code == 2 and f"No such option '{option}'" in result.output
+        for option in (["--metric", "f_only"], ["--noise-grad-mode", "rank1"], ["--fresh-fk"]):
+            result = runner.invoke(main, common + ["--out", str(plain), *option])
+            assert result.exit_code == 2 and f"No such option '{option[0]}'" in result.output
             assert not plain.exists()
         assert runner.invoke(main, common + ["--out", str(plain)]).exit_code == 0
-        assert runner.invoke(main, common + ["--out", str(fresh), "--fresh-fk"]).exit_code == 0
+        assert runner.invoke(main, common + ["--out", str(fresh), "--solver", "ours_fresh"]).exit_code == 0
         assert runner.invoke(main, common + ["--out", str(rank1), "--noise", "uniform:1e-3:rank1"]).exit_code == 0
         (r_fresh,) = read_runs_csv(fresh)
-        # with --fresh-fk every iteration beyond the first spends one extra
-        # objective call on top of its line-search trials
+        # ours_fresh records under its own name, and every iteration beyond
+        # the first spends one extra objective call on top of its
+        # line-search trials
+        assert r_fresh.solver == "ours_fresh"
         assert r_fresh.iters >= 2
         assert r_fresh.f_calls >= 2 * r_fresh.iters
 
@@ -646,7 +671,6 @@ MATRIX_SETTINGS = [
     (SolverConfig, "eps_gtol", dict(eps_gtol=3.0), "refused"),
     (SolverConfig, "eps_f", dict(eps_f=0.5), "refused"),
     (SolverConfig, "variant", dict(variant="baseline_line_ms"), "refused"),
-    (SolverConfig, "fresh_fk", dict(fresh_fk=True), "kept"),
     (NoiseModel, "kind", dict(kind="precision_cast", bits=32), "kept"),
     (NoiseModel, "level", dict(kind="additive_uniform", level=1e-3), "kept"),
     (NoiseModel, "bits", dict(kind="precision_cast", bits=32), "kept"),
@@ -770,18 +794,16 @@ class TestBadSolverSettings:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("fresh_fk", "no"), ("fresh_fk", 1), ("eps_gtol", True), ("eps_f", False), ("level", True),
+            ("eps_gtol", True), ("eps_f", False), ("level", True),
             ("eps_gtol", "1e-2"), ("eps_f", "0.01"), ("eps_gtol", None), ("level", "1e-3"),
             ("run_matrix.eps_f", False), ("run_matrix.eps_f", "0.01"),
         ],
         ids=str,
     )
     def test_settings_of_the_wrong_type_are_refused(self, monkeypatch, field, value):
-        # fresh_fk is a bool ("no" is truthy), and each float setting an int or
-        # float that is not a bool; a string is refused by name, not by the
-        # TypeError of a comparison.
+        # Each float setting is an int or float that is not a bool; a string
+        # is refused by name, not by the TypeError of a comparison.
         build = {
-            "fresh_fk": lambda v: SolverConfig(fresh_fk=v),
             "eps_gtol": lambda v: SolverConfig(eps_gtol=v),
             "eps_f": lambda v: SolverConfig(eps_f=v),
             "level": lambda v: NoiseModel(kind="additive_uniform", level=v),
@@ -793,8 +815,8 @@ class TestBadSolverSettings:
             build(value)
 
     def test_float_settings_take_ints_and_numpy_floats(self):
-        cfg = SolverConfig(eps_gtol=np.float32(1e-2), eps_f=0, fresh_fk=True)
-        assert (cfg.eps_gtol, cfg.eps_f, cfg.fresh_fk) == (np.float32(1e-2), 0, True)
+        cfg = SolverConfig(eps_gtol=np.float32(1e-2), eps_f=0)
+        assert (cfg.eps_gtol, cfg.eps_f) == (np.float32(1e-2), 0)
         # Each is kept as the float it equals, so no numpy width reaches a run.
         assert type(cfg.eps_gtol) is float and type(cfg.eps_f) is float
         assert NoiseModel(kind="additive_uniform", level=np.float64(1e-3)).level == 1e-3
@@ -891,3 +913,51 @@ class TestProfileCommand:
         assert result.exit_code == 2
         assert "--metric" in error_line(result.output) and "'calls' is not one of" in error_line(result.output)
         assert not prof.exists()
+
+    def test_a_run_counted_twice_is_a_usage_error(self, tmp_path):
+        runs, joined, prof = tmp_path / "runs.csv", tmp_path / "joined.csv", tmp_path / "profile.csv"
+        args = ["run", "--suite", "beale_n2", "--solver", "baseline_line,baseline_line_fresh",
+                "--noise", "uniform:1e-3", "--out", str(runs)]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        plain, fresh = read_runs_csv(runs)
+        emit_csv([plain, replace(fresh, solver="baseline_line")], joined)
+        result = CliRunner().invoke(main, ["profile", "--in", str(joined), "--out", str(prof)])
+        assert result.exit_code == 2
+        assert "--in" in error_line(result.output) and "counted twice" in error_line(result.output)
+        assert not prof.exists()
+
+    def test_outputs_go_into_new_directories(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(PROFILE_RUNS)
+        for out, svg in ((tmp_path / "new" / "p.csv", None), (tmp_path / "p.csv", tmp_path / "nd" / "p.svg")):
+            args = ["profile", "--in", str(runs), "--out", str(out)] + (["--svg", str(svg)] if svg else [])
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert out.read_text().startswith("solver,tau,rho\n")
+            assert svg is None or svg.read_text().startswith("<svg")
+
+    def test_a_refused_profile_makes_no_directory(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        emit_csv([], runs)
+        args = ["profile", "--in", str(runs), "--out", str(tmp_path / "a" / "p.csv"), "--svg", str(tmp_path / "b" / "p.svg")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv"]
+
+    def test_one_matrix_profiles_a_variant_against_its_fresh_row(self, tmp_path):
+        runs, traces, prof = tmp_path / "runs.csv", tmp_path / "traces", tmp_path / "profile.csv"
+        problems, solvers, seeds = ("beale_n2", "rosenbrock_n2"), ("ours", "ours_fresh"), (0, 1)
+        args = ["run", "--suite", ",".join(problems), "--solver", ",".join(solvers), "--noise", "uniform:1e-3",
+                "--kmax", "400", "--seeds", "0,1", "--out", str(runs), "--trace-dir", str(traces)]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        # One trace file per run: the fresh row's runs do not overwrite the
+        # plain ones, whose objective calls they exceed.
+        assert sorted(p.name for p in traces.iterdir()) == [
+            f"{p}__{s}__seed{seed}.csv" for p in problems for s in solvers for seed in seeds
+        ]
+        for p in problems:
+            plain, fresh = (read_trace_csv(traces / f"{p}__{s}__seed0.csv") for s in solvers)
+            assert fresh[-1].f_calls > plain[-1].f_calls
+        result = CliRunner().invoke(main, ["profile", "--in", str(runs), "--out", str(prof)])
+        assert result.exit_code == 0, result.output
+        assert [line.split(":")[0] for line in result.stdout.splitlines()[1:]] == list(solvers)

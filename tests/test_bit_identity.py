@@ -2,10 +2,10 @@
 
 A pure speed-up must leave every ``runs.csv`` column except ``wall_ms``
 bit-identical. This test pins those columns for a matrix that exercises
-all four solver variants, both gradient-noise modes, the exhausted
-line-search branch of the baseline, regularized (``mu > 0``) and unshifted
-directions, and oracles that consume more than 4096 noise draws. Floats
-are compared by their exact ``float.hex()`` form.
+every solver variant but the two ``_fresh`` rows, both gradient-noise
+modes, the exhausted line-search branch of the baseline, regularized
+(``mu > 0``) and unshifted directions, and oracles that consume more than
+4096 noise draws. Floats are compared by their exact ``float.hex()`` form.
 
 The pinned values live in ``golden_noisy_runs.json``. A change that
 deliberately alters the arithmetic regenerates them with::

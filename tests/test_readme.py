@@ -58,6 +58,19 @@ def test_readme_names_exactly_the_command_options():
     assert named == options
 
 
+def test_readme_solver_names_are_variant_rows():
+    # A renamed or removed solver cannot linger in a --solver list or as a
+    # table row, and each regime table shows the rows of one --solver list.
+    text = README.read_text()
+    lists = [names.split(",") for names in re.findall(r"--solver\s+([\w,]+)", text)]
+    tables = re.findall(r"^\| ([^|`]*?) \|.*\n\|[-|]+\|\n((?:\| `.*\n)+)", text, re.M)
+    rows = {title: re.findall(r"^\| `([^`]*)` \|", body, re.M) for title, body in tables}
+    assert lists and len(rows) > 1
+    for name in [name for names in lists for name in names] + [row for labels in rows.values() for row in labels]:
+        assert name in VARIANTS
+    assert all(labels in lists for title, labels in rows.items() if title != "variant")
+
+
 def test_readme_noise_specs_parse():
     # A refused spec, such as a removed cast width, cannot linger in the docs.
     # A spec with a placeholder in capitals (uniform:LEVEL) is a template.

@@ -182,7 +182,7 @@ def test_fresh_fk_costs_one_extra_call_per_iteration():
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=9)
     base = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="ours")
     res = solve(get_problem("beale_n2"), model, base)
-    fresh_cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="ours", fresh_fk=True)
+    fresh_cfg = SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300, variant="ours_fresh")
     res_fresh = solve(get_problem("beale_n2"), model, fresh_cfg)
     expected_f = 1 + sum(1 + t.rejections for t in res_fresh.trace) + max(res_fresh.iterations - 1, 0)
     assert res_fresh.f_calls == expected_f
@@ -190,12 +190,12 @@ def test_fresh_fk_costs_one_extra_call_per_iteration():
 
 
 def test_fresh_fk_changes_a_baseline_outcome():
-    # Why --fresh-fk is kept: re-evaluating f at each iterate rescues a
-    # noisy baseline run that otherwise spins through exhausted searches.
+    # Why the _fresh rows are kept: re-evaluating f at each iterate rescues
+    # a noisy baseline run that otherwise spins through exhausted searches.
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=derive_oracle_seed("broyden_tridiag_n10", 0))
     outcomes = []
-    for fresh_fk in (False, True):
-        cfg = SolverConfig(eps_gtol=1e-2, k_max=1000, variant="baseline_line", fresh_fk=fresh_fk)
+    for variant in ("baseline_line", "baseline_line_fresh"):
+        cfg = SolverConfig(eps_gtol=1e-2, k_max=1000, variant=variant)
         res = solve(get_problem("broyden_tridiag_n10"), model, cfg)
         outcomes.append((res.status, res.iterations, res.f_calls))
     assert outcomes == [("max_iters", 1000, 31462), ("converged", 14, 34)]
@@ -383,7 +383,7 @@ def test_a_variant_row_names_rules_solve_implements(name):
     variant = VARIANTS[name]
     # solve implements these two; a row naming another would not run it.
     assert variant.mu_rule in ("gated", "off")
-    assert isinstance(variant.slack, bool) and isinstance(variant.modified_secant, bool)
+    assert all(isinstance(flag, bool) for flag in (variant.slack, variant.modified_secant, variant.fresh_fk))
 
 
 @pytest.mark.parametrize("name", VARIANTS)
@@ -403,12 +403,16 @@ def test_a_variant_refuses_eps_f_exactly_when_it_has_no_slack(name):
 def test_a_run_follows_its_variant_row(name):
     # rosenbrock_n2 under uniform 1e-3 (the oracle seed run_matrix derives
     # for run seed 0), gtol 1e-2, k_max 300, and eps_f 1e-2 where the row
-    # has a slack: every row shifts and takes a slack as its record says.
+    # has a slack: every row shifts, takes a slack and re-evaluates f as its
+    # record says.
     variant = VARIANTS[name]
     model = NoiseModel(kind="additive_uniform", level=1e-3, seed=derive_oracle_seed("rosenbrock_n2", 0))
     cfg = SolverConfig(eps_gtol=1e-2, k_max=300, eps_f=1e-2 if variant.slack else 0.0, variant=name)
-    trace = solve(get_problem("rosenbrock_n2"), model, cfg).trace
+    res = solve(get_problem("rosenbrock_n2"), model, cfg)
+    trace = res.trace
     assert len(trace) > 0
+    fresh = len(trace) - 1 if variant.fresh_fk else 0
+    assert res.f_calls == 1 + sum(1 + r.rejections for r in trace) + fresh
     if variant.mu_rule == "off":
         assert all(r.mu == 0.0 for r in trace)
     else:
@@ -466,7 +470,6 @@ def whole_runs(draw):
         eps_gtol=1e-3,
         eps_f=draw(st.floats(0.0, 0.5)) if VARIANTS[variant].slack else 0.0,
         variant=variant,
-        fresh_fk=draw(st.booleans()),
     )
     model = draw(NOISE_MODELS)
     if "seed" in KINDS[model.kind]:
@@ -496,7 +499,7 @@ def test_whole_loop_properties(run):
         assert res.final_g_inf <= cfg.eps_gtol
     if res.status != "oracle_error":
         assert res.g_calls == 1 + res.iterations + res.discarded_grad_probes
-        fresh = max(res.iterations - 1, 0) if cfg.fresh_fk else 0
+        fresh = max(res.iterations - 1, 0) if VARIANTS[cfg.variant].fresh_fk else 0
         assert res.f_calls == 1 + sum(1 + r.rejections for r in trace) + fresh
         if trace:
             assert (trace[-1].f_calls, trace[-1].g_calls) == (res.f_calls, res.g_calls)
