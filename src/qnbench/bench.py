@@ -351,15 +351,33 @@ def _record_rows(cls, records: Iterable) -> Iterable[list[str]]:
 
 def _read_records(path, cls, header: Sequence[str], kind: str) -> list:
     """Records of dataclass ``cls`` from a CSV written with ``header``; each
-    value is parsed by its field's type."""
+    value is parsed by its field's type. A malformed row is refused with a
+    ``ValueError`` that names its line and what is wrong with it."""
     hints = get_type_hints(cls)
-    parsers = [hints[f.name] for f in fields(cls)]
+    parsers = [(name, hints[name]) for name in header]
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ValueError(f"unexpected {kind} header: {found}")
-        return [cls(*[parse(v) for parse, v in zip(parsers, row, strict=True)]) for row in reader if row]
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise ValueError(f"unexpected {kind} header: {found}")
+            return [cls(*_parse_row(row, parsers, kind, reader.line_num)) for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"{kind} line {reader.line_num}: {exc}") from None
+
+
+def _parse_row(row: Sequence[str], parsers, kind: str, line: int) -> list:
+    """The values of one CSV row, each parsed by its ``(name, type)`` pair."""
+    if len(row) != len(parsers):
+        few = "few" if len(row) < len(parsers) else "many"
+        raise ValueError(f"{kind} line {line}: too {few} fields ({len(row)}, the header has {len(parsers)})")
+    values = []
+    for (name, parse), value in zip(parsers, row):
+        try:
+            values.append(parse(value))
+        except ValueError:
+            raise ValueError(f"{kind} line {line}: {name} {value!r} is not a valid {parse.__name__}") from None
+    return values
 
 
 def emit_csv(items: Sequence, path) -> None:

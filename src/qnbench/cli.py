@@ -121,9 +121,8 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
               help="A run's cost: objective+gradient calls or objective calls only.")
 def profile_command(in_path, out_path, svg_path, metric):
     """Compute performance-profile curves from a runs CSV."""
-    records = read_runs_csv(in_path)
     try:
-        curves, kept, dropped = _profile(records, metric)
+        curves, kept, dropped = _profile(read_runs_csv(in_path), metric)
     except ValueError as exc:
         raise click.BadParameter(f"{in_path}: {exc}", param_hint="--in") from None
     # Make the output directories before the first write, so that a profile

@@ -38,13 +38,13 @@ and ``array('q')`` for an int one. The record's fields define the columns
 (and the trace CSV), so a new field is one dataclass line plus its value in
 the row ``solve`` appends. When the run ends, the columns become its
 :class:`Trace`, which compacts each one once: a column whose bytes are all
-zero (only ``0``, or only ``+0.0``) keeps just its length, an int column
+zero (only ``0``, or only ``+0.0``) is not stored at all, an int column
 goes into the narrowest of 1, 2, 4 and 8 bytes that holds its values, and
 a float column keeps 8 bytes per iteration. A row takes at most 72 bytes;
 on the benchmark's noisy desk runs it averages 40, because the line-search
 baseline never stores its zero ``mu`` and ``delta``. Records are built only
-when the trace is read. A trace crosses a process boundary as one flat
-buffer per stored column and one small object per zero-width column.
+when the trace is read. A trace crosses a process boundary as its length
+and one flat buffer per stored column.
 """
 
 from __future__ import annotations
@@ -151,39 +151,20 @@ _COLUMNS = tuple(f.name for f in fields(IterationRecord))[1:]
 _HINTS = get_type_hints(IterationRecord)
 # The typecode of each open column, which ``solve`` appends to.
 _TYPECODES = tuple({int: "q", float: "d"}[_HINTS[name]] for name in _COLUMNS)
-
-
-class _Zeros:
-    """A trace column whose every byte was zero: its zero and its length.
-
-    Reads give back the zero, ``0`` for an int column and ``0.0`` (``+0.0``)
-    for a float one, at any index: the trace resolves every index before it
-    reads, and never iterates a column, which here would not stop.
-    """
-
-    __slots__ = ("_zero", "_n")
-
-    def __init__(self, zero, n: int):
-        self._zero = zero
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, k: int):
-        return self._zero
+# What each column reads as where it is not stored: ``0`` or ``+0.0``.
+_ZEROS = tuple(array(code, [0])[0] for code in _TYPECODES)
 
 
 def _compact(column: array):
     """The stored form of an open column.
 
-    A column whose bytes are all zero keeps only its length (``-0.0`` and
-    NaN have nonzero bytes, so they are stored); an int column goes into the
-    narrowest of ``'B'``, ``'H'``, ``'I'`` and ``'q'`` that holds all its
-    values; a float column is kept as it is.
+    A column whose bytes are all zero is not stored: its form is ``None``
+    (``-0.0`` and NaN have nonzero bytes, so they are stored). An int column
+    goes into the narrowest of ``'B'``, ``'H'``, ``'I'`` and ``'q'`` that
+    holds all its values; a float column is kept as it is.
     """
     if column.tobytes().count(0) == len(column) * column.itemsize:
-        return _Zeros(array(column.typecode, [0])[0], len(column))
+        return None
     if column.typecode == "q":
         for code in "BHI":
             try:
@@ -200,24 +181,26 @@ class Trace(Sequence):
     when it is read. It is built once, when the run ends, from one open
     column per stored field (``array('d')`` for a float, ``array('q')`` for
     an int), all of one length. A column whose bytes are all zero (only
-    ``+0.0``, or only ``0``) keeps just its length; an int column is copied
-    into the narrowest of ``'B'``, ``'H'``, ``'I'`` and ``'q'`` that holds
-    it; so a row takes 0 to 72 bytes. ``k`` is the position, so it is not
-    stored. A trace equals any sequence of equal records, in order.
+    ``+0.0``, or only ``0``) is not stored, and reads as its zero; an int
+    column is copied into the narrowest of ``'B'``, ``'H'``, ``'I'`` and
+    ``'q'`` that holds it; so a row takes 0 to 72 bytes. The trace keeps its
+    length, and ``k`` is the position, so it is not stored. A trace equals
+    any sequence of equal records, in order.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_columns", "_n")
 
     def __init__(self, columns):
         if len(columns) != len(_TYPECODES) or len({len(c) for c in columns}) != 1:
             raise ValueError(f"a trace takes {len(_TYPECODES)} columns of one length")
+        self._n = len(columns[0])
         self._columns = [_compact(column) for column in columns]
 
     def _record(self, k: int) -> IterationRecord:
-        return IterationRecord(k, *[column[k] for column in self._columns])
+        return IterationRecord(k, *[zero if c is None else c[k] for c, zero in zip(self._columns, _ZEROS)])
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return self._n
 
     def __getitem__(self, index):
         rows = range(len(self))[index]

@@ -377,6 +377,41 @@ class TestCsv:
         with pytest.raises(ValueError, match="unexpected runs header"):
             read_runs_csv(path)
 
+    RUN_ROW = "p,s,0,converged,7,5,4,0.0,0.0,1.5"
+    TRACE_ROW = "0,1.0,1.0,1.0,0.0,1.0,0.0,0,2,1"
+
+    @pytest.mark.parametrize(("bad", "message"), [
+        ("p,s,0,converged,7,5", "runs line 3: too few fields (6, the header has 10)"),
+        ("p,s,0,converged,7,5,4,0.0,0.0,1.5,9", "runs line 3: too many fields (11, the header has 10)"),
+        ("p,s,x,converged,7,5,4,0.0,0.0,1.5", "runs line 3: seed 'x' is not a valid int"),
+        ("p,s,0,converged,7.0,5,4,0.0,0.0,1.5", "runs line 3: f_calls '7.0' is not a valid int"),
+        ("p,s,0,converged,7,5,4,abc,0.0,1.5", "runs line 3: final_f_bar 'abc' is not a valid float"),
+        ("p,s,0,converged,7,5,4,0.0,0.0," + "1" * 200_000, "runs line 3: field larger than field limit (131072)"),
+    ], ids=["short", "long", "int", "float_as_int", "float", "csv_error"])
+    def test_a_malformed_runs_row_is_refused_by_its_line(self, tmp_path, bad, message):
+        path = tmp_path / "runs.csv"
+        emit_csv([], path)
+        with path.open("a") as fh:
+            fh.write(f"{self.RUN_ROW}\n{bad}\n{self.RUN_ROW}\n")
+        with pytest.raises(ValueError) as info:
+            read_runs_csv(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(("bad", "message"), [
+        ("0,1.0,1.0", "trace line 2: too few fields (3, the header has 10)"),
+        ("0,1.0,1.0,1.0,0.0,1.0,0.0,0,2,1,", "trace line 2: too many fields (11, the header has 10)"),
+        ("0,1.0,1.0,1.0,0.0,1.0,0.0,one,2,1", "trace line 2: rejections 'one' is not a valid int"),
+        ("0,1.0,,1.0,0.0,1.0,0.0,0,2,1", "trace line 2: g_inf '' is not a valid float"),
+    ], ids=["short", "long", "int", "float"])
+    def test_a_malformed_trace_row_is_refused_by_its_line(self, tmp_path, bad, message):
+        path = tmp_path / "trace.csv"
+        write_trace_csv([], path)
+        with path.open("a") as fh:
+            fh.write(f"{bad}\n{self.TRACE_ROW}\n")
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(path)
+        assert str(info.value) == message
+
     def test_profile_csv(self, tmp_path):
         curves = [ProfileCurve("A", [(1.0, 0.5), (2.0, 1.0)])]
         path = tmp_path / "profile.csv"
@@ -942,6 +977,20 @@ class TestProfileCommand:
         args = ["profile", "--in", str(runs), "--out", str(tmp_path / "a" / "p.csv"), "--svg", str(tmp_path / "b" / "p.svg")]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv"]
+
+    @pytest.mark.parametrize(("text", "cause"), [
+        ("problem,solver,seed,status,oracle_calls\np,s,0,converged,12\n", "unexpected runs header"),
+        (PROFILE_RUNS + "beale_n2,ours,2,converged\n", "runs line 19: too few fields"),
+        (PROFILE_RUNS.replace("ours,0,converged,40,", "ours,0,converged,forty,"), "runs line 4: f_calls 'forty'"),
+    ], ids=["old_header", "short_row", "non_numeric"])
+    def test_a_malformed_runs_csv_is_a_usage_error(self, tmp_path, text, cause):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(text)
+        args = ["profile", "--in", str(runs), "--out", str(tmp_path / "a" / "p.csv"), "--svg", str(tmp_path / "b" / "p.svg")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "--in" in error_line(result.output) and cause in error_line(result.output)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv"]
 
     def test_one_matrix_profiles_a_variant_against_its_fresh_row(self, tmp_path):

@@ -43,8 +43,14 @@ def build(rows):
 
 
 def widths(trace):
-    """Bytes per row of each stored column: 0 for a zero-width one."""
-    return [c.itemsize if isinstance(c, array) else 0 for c in trace._columns]
+    """Bytes per row of each stored column: 0 for one that is not stored.
+
+    Every entry of ``_columns`` is ``None`` or an ``array`` of the trace's
+    length, so iterating a stored column ends.
+    """
+    for c in trace._columns:
+        assert c is None or (type(c) is array and len(c) == len(list(c)) == len(trace))
+    return [0 if c is None else c.itemsize for c in trace._columns]
 
 
 def reprs(records):
@@ -181,6 +187,7 @@ def test_baseline_trace_round_trips_through_pickle_and_csv_byte_for_byte(tmp_pat
     # before zero-width columns.
     stored = Trace.__new__(Trace)
     stored._columns = [array(code, [getattr(r, name) for r in trace]) for code, name in zip("ddddddBHH", STORED)]
+    stored._n = len(trace)
     assert widths(stored) == [8, 8, 8, 8, 8, 8, 1, 2, 2]
     for name, t in (("trace", trace), ("pickled", back), ("stored", stored), ("records", list(trace))):
         write_trace_csv(t, tmp_path / f"{name}.csv")
@@ -188,6 +195,20 @@ def test_baseline_trace_round_trips_through_pickle_and_csv_byte_for_byte(tmp_pat
     for name in ("trace", "pickled", "records"):
         assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
     assert reprs(read_trace_csv(tmp_path / "trace.csv")) == reprs(trace)
+
+
+def test_a_column_is_not_stored_or_stored_whole():
+    model = NoiseModel(kind="additive_uniform", level=1e-3, seed=4)
+    cfgs = (SolverConfig(eps_gtol=1e-2, eps_f=1e-2, k_max=300),
+            SolverConfig(eps_gtol=1e-2, k_max=300, variant="baseline_line"))
+    ours, baseline = (solve(get_problem("ext_rosenbrock_n10"), model, cfg).trace for cfg in cfgs)
+    empty = Trace([array("d")] * 6 + [array("q")] * 3)
+    assert len(ours) > 0 and len(baseline) > 0 and len(empty) == 0
+    # widths checks that each entry of _columns is None or a whole array.
+    assert widths(ours)[:6] == [8] * 6
+    assert widths(baseline) == [8, 8, 8, 0, 8, 0, 1, 2, 2]
+    assert widths(empty) == [0] * len(STORED)
+    assert empty[:] == [] and list(empty) == []
 
 
 def test_parallel_traces_equal_serial_traces():
