@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence, get_type_hints
 
 from .noise import KINDS, NoiseModel, default_eps_f
 from .problems import get_problem
-from .solver import VARIANTS, IterationRecord, SolveResult, SolverConfig, solve
+from .solver import STATUSES, VARIANTS, IterationRecord, SolverConfig, solve
 
 INF = math.inf
 
@@ -87,29 +87,16 @@ def derive_oracle_seed(problem_name: str, seed: int) -> int:
 
 
 def _execute(task, keep_trace: bool):
+    """Run one task; its record holds what the run measured, with no cost
+    derived, and its trace comes back alongside with ``keep_trace``."""
     name, seed, model, cfg = task
     problem = get_problem(name)
     t0 = time.perf_counter()
     res = solve(problem, model, cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    record = record_from_result(name, cfg.variant, seed, res, wall_ms)
+    record = RunRecord(name, cfg.variant, seed, res.status, res.f_calls, res.g_calls, res.iterations,
+                       res.final_f_bar, res.final_g_inf, wall_ms)
     return record, (res.trace if keep_trace else None)
-
-
-def record_from_result(problem: str, solver: str, seed: int, res: SolveResult, wall_ms: float) -> RunRecord:
-    """The run's record: what the run measured, with no cost derived."""
-    return RunRecord(
-        problem=problem,
-        solver=solver,
-        seed=seed,
-        status=res.status,
-        f_calls=res.f_calls,
-        g_calls=res.g_calls,
-        iters=res.iterations,
-        final_f_bar=res.final_f_bar,
-        final_g_inf=res.final_g_inf,
-        wall_ms=wall_ms,
-    )
 
 
 def _plan(
@@ -123,11 +110,13 @@ def _plan(
     eps_f: float | str,
     base_cfg: Optional[SolverConfig],
 ) -> list[tuple]:
-    """Every refusal :func:`run_matrix` makes, and its task list.
+    """The task list of :func:`run_matrix`, and every refusal it makes.
 
     Takes :func:`run_matrix`'s arguments but ``keep_traces`` and raises what
-    it raises before any run. Returns one ``(problem, seed, oracle model,
-    config)`` task per triple, in matrix order. The oracle model is
+    it raises before any run. A caller that must tell a refusal from an
+    error raised during a run, as ``qnbench run`` does, plans here and
+    hands the tasks to :func:`_run`. Returns one ``(problem, seed, oracle
+    model, config)`` task per triple, in matrix order. The oracle model is
     ``noise`` with the seed derived from the problem and the run seed when
     its kind reads a seed (it draws), and ``noise`` itself otherwise. The
     config names the solver, and holds the resolved ``eps_f`` when the
@@ -189,7 +178,9 @@ def run_matrix(
     base_cfg: Optional[SolverConfig] = None,
     keep_traces: bool = False,
 ):
-    """Execute every (problem, solver, seed) triple of the matrix.
+    """Execute every (problem, solver, seed) triple of the matrix:
+    :func:`_plan` makes the task list and every refusal listed below, and
+    :func:`_run` executes it.
 
     Returns the canonically sorted list of :class:`RunRecord`; with
     ``keep_traces`` a dict mapping (problem, solver, seed) to the iteration
@@ -226,6 +217,17 @@ def run_matrix(
     An exception raised during a run propagates unchanged.
     """
     tasks = _plan(suite, solvers, noise, eps_gtol, seeds, parallelism, eps_f=eps_f, base_cfg=base_cfg)
+    records, traces = _run(tasks, parallelism, keep_traces)
+    return (records, traces) if keep_traces else records
+
+
+def _run(tasks: Sequence[tuple], parallelism: int, keep_traces: bool):
+    """Execute the tasks :func:`_plan` returns on ``parallelism`` workers.
+
+    Returns the canonically sorted records and a dict mapping (problem,
+    solver, seed) to the iteration trace, empty unless ``keep_traces``.
+    An exception raised during a run propagates unchanged.
+    """
     execute = partial(_execute, keep_trace=keep_traces)
     if parallelism > 1:
         # Imported here: the process pool pulls in multiprocessing and socket,
@@ -238,11 +240,8 @@ def run_matrix(
         outcomes = [execute(t) for t in tasks]
 
     outcomes.sort(key=lambda rt: (rt[0].problem, rt[0].solver, rt[0].seed))
-    records = [r for r, _ in outcomes]
-    if keep_traces:
-        traces = {(r.problem, r.solver, r.seed): t for r, t in outcomes}
-        return records, traces
-    return records
+    traces = {(r.problem, r.solver, r.seed): t for r, t in outcomes} if keep_traces else {}
+    return [r for r, _ in outcomes], traces
 
 
 def aggregate_seeds(records: Sequence[RunRecord], metric: str = METRICS[0]) -> dict[tuple[str, str], float]:
@@ -251,8 +250,10 @@ def aggregate_seeds(records: Sequence[RunRecord], metric: str = METRICS[0]) -> d
 
     A run costs ``f_calls + g_calls`` under ``both`` and ``f_calls`` under
     ``f_only`` when it converged, and ``inf`` otherwise. A ``metric`` not in
-    ``METRICS``, and a (problem, solver, seed) that two records share, are
-    refused with a ``ValueError``: the seeds of a solver are its runs.
+    ``METRICS``, a (problem, solver, seed) that two records share, and a
+    converged run whose cost is not positive are refused with a
+    ``ValueError``: the seeds of a solver are its runs, and a best cost of 0
+    would leave every ratio undefined.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -267,6 +268,9 @@ def aggregate_seeds(records: Sequence[RunRecord], metric: str = METRICS[0]) -> d
             n = INF
         else:
             n = float(r.f_calls if metric == "f_only" else r.f_calls + r.g_calls)
+            if n <= 0:
+                cost = "f_calls" if metric == "f_only" else "f_calls + g_calls"
+                raise ValueError(f"run {run} converged with {cost} = {n:g}: a converged run makes calls")
         groups.setdefault((r.problem, r.solver), []).append(n)
     agg: dict[tuple[str, str], float] = {}
     for key, vals in groups.items():
@@ -349,34 +353,50 @@ def _record_rows(cls, records: Iterable) -> Iterable[list[str]]:
     return ([_fmt(v) for v in values(r)] for r in records)
 
 
-def _read_records(path, cls, header: Sequence[str], kind: str) -> list:
+def _read_records(path, cls, header: Sequence[str], kind: str, choices: Optional[dict] = None) -> list:
     """Records of dataclass ``cls`` from a CSV written with ``header``; each
-    value is parsed by its field's type. A malformed row is refused with a
-    ``ValueError`` that names its line and what is wrong with it."""
+    value is parsed by its field's type, and a field of ``choices`` must take
+    one of its values. A malformed row is refused with a ``ValueError`` that
+    names the line the row begins on and what is wrong with it."""
     hints = get_type_hints(cls)
-    parsers = [(name, hints[name]) for name in header]
+    parsers = [(name, hints[name], (choices or {}).get(name)) for name in header]
+    records = []
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
+        line = 1  # where the next row begins
         try:
             found = next(reader, None)
             if found != header:
                 raise ValueError(f"unexpected {kind} header: {found}")
-            return [cls(*_parse_row(row, parsers, kind, reader.line_num)) for row in reader if row]
+            line = reader.line_num + 1
+            for row in reader:
+                if row:
+                    records.append(cls(*_parse_row(row, parsers, kind, line)))
+                line = reader.line_num + 1
         except csv.Error as exc:
-            raise ValueError(f"{kind} line {reader.line_num}: {exc}") from None
+            # A quoted field left open swallows the rest of the file.
+            cause = "a quoted field is not closed" if str(exc) == "unexpected end of data" else exc
+            raise ValueError(f"{kind} line {line}: {cause}") from None
+    return records
 
 
 def _parse_row(row: Sequence[str], parsers, kind: str, line: int) -> list:
-    """The values of one CSV row, each parsed by its ``(name, type)`` pair."""
+    """The values of one CSV row, each parsed by its ``(name, type,
+    choices)`` triple; no int field is negative."""
     if len(row) != len(parsers):
         few = "few" if len(row) < len(parsers) else "many"
         raise ValueError(f"{kind} line {line}: too {few} fields ({len(row)}, the header has {len(parsers)})")
     values = []
-    for (name, parse), value in zip(parsers, row):
+    for (name, parse, allowed), value in zip(parsers, row):
         try:
-            values.append(parse(value))
+            parsed = parse(value)
         except ValueError:
             raise ValueError(f"{kind} line {line}: {name} {value!r} is not a valid {parse.__name__}") from None
+        if parse is int and parsed < 0:
+            raise ValueError(f"{kind} line {line}: {name} {value!r} is negative")
+        if allowed is not None and parsed not in allowed:
+            raise ValueError(f"{kind} line {line}: {name} {value!r} is not one of {allowed}")
+        values.append(parsed)
     return values
 
 
@@ -391,7 +411,8 @@ def emit_csv(items: Sequence, path) -> None:
 
 
 def read_runs_csv(path) -> list[RunRecord]:
-    return _read_records(path, RunRecord, RUNS_HEADER, "runs")
+    """Run records from a runs CSV; a status outside ``STATUSES`` is refused."""
+    return _read_records(path, RunRecord, RUNS_HEADER, "runs", {"status": STATUSES})
 
 
 def write_trace_csv(trace: Sequence[IterationRecord], path) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from .bench import METRICS, _plan, _profile, emit_csv, emit_svg, read_runs_csv, run_matrix, write_trace_csv
+from .bench import METRICS, _plan, _profile, _run, emit_csv, emit_svg, read_runs_csv, write_trace_csv
 from .noise import NoiseModel
 from .problems import suite_names
 from .solver import VARIANTS, SolverConfig
@@ -81,13 +81,11 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
     eps_f = parse_eps_f(eps_f)
     seed_list = parse_seeds(seeds)
     solver_list = [tok.strip() for tok in solvers.split(",") if tok.strip()]
-    # Ask for run_matrix's refusals before any run, so that they are usage
-    # errors while an error raised during a run still ends in a traceback.
+    # Plan the matrix before any run, so that its refusals are usage errors
+    # while an error raised during a run still ends in a traceback.
     try:
-        cfg = SolverConfig(k_max=kmax)
-        matrix = (suite_names(suite), solver_list, model, gtol, seed_list, jobs)
-        settings = dict(eps_f=eps_f, base_cfg=cfg)
-        _plan(*matrix, **settings)
+        tasks = _plan(suite_names(suite), solver_list, model, gtol, seed_list, jobs,
+                      eps_f=eps_f, base_cfg=SolverConfig(k_max=kmax))
     except (ValueError, KeyError) as exc:
         # A refusal names the field or the list it refuses: name its option.
         options = dict(eps_gtol="--gtol", eps_f="--eps-f", k_max="--kmax", variant="--solver", solver="--solver",
@@ -97,13 +95,11 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
     # Make the output directories first, so that a run's results are not
     # lost for want of one.
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    if trace_dir is None:
-        records = run_matrix(*matrix, **settings)
-    else:
+    if trace_dir is not None:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
-        records, traces = run_matrix(*matrix, **settings, keep_traces=True)
-        for (problem, solver, seed), trace in traces.items():
-            write_trace_csv(trace, Path(trace_dir, f"{problem}__{solver}__seed{seed}.csv"))
+    records, traces = _run(tasks, jobs, keep_traces=trace_dir is not None)
+    for (problem, solver, seed), trace in traces.items():
+        write_trace_csv(trace, Path(trace_dir, f"{problem}__{solver}__seed{seed}.csv"))
     emit_csv(records, out_path)
     total = len(records)
     for s in solver_list:

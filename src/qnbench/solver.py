@@ -218,16 +218,20 @@ class Trace(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
+# Every status a run can end in (see SolveResult).
+STATUSES = ("converged", "max_iters", "oracle_error")
+
+
 @dataclass
 class SolveResult:
     """Outcome of one :func:`solve` run, which sets every field.
 
-    ``status`` is ``converged``, ``max_iters`` or ``oracle_error``: the
-    oracle refused a point, or a finite gradient's squared norm overflowed.
-    An ``oracle_error`` result keeps the partial trace and call counts, and
-    leaves ``final_f_bar``/``final_g_inf`` NaN. ``discarded_grad_probes``
-    counts the searches that rescaled their step, and so left their rescale
-    probe's gradient unused; a run that does not end in ``oracle_error`` has
+    ``status`` is one of ``STATUSES``: ``converged``, ``max_iters`` or
+    ``oracle_error``, where the oracle refused a point, or a finite
+    gradient's squared norm overflowed. An ``oracle_error`` result keeps the
+    partial trace and call counts, and leaves ``final_f_bar``/``final_g_inf``
+    NaN. ``discarded_grad_probes`` counts the searches that rescaled their
+    step, and so left their rescale probe's gradient unused; a run that does not end in ``oracle_error`` has
     ``g_calls == 1 + iterations + discarded_grad_probes``.
     """
 

@@ -2,7 +2,6 @@ import copy
 import hashlib
 import math
 from dataclasses import fields, replace
-from array import array
 
 import click
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import qnbench.bench as bench_mod
+import qnbench.cli as cli_mod
 import qnbench.problems as problems_mod
 from qnbench.bench import (
     INF,
@@ -24,14 +24,13 @@ from qnbench.bench import (
     performance_profile,
     read_runs_csv,
     read_trace_csv,
-    record_from_result,
     run_matrix,
     write_trace_csv,
 )
 from qnbench.cli import main, parse_eps_f, parse_noise, parse_seeds
 from qnbench.lbfgs import LbfgsMemory
 from qnbench.noise import NoiseModel
-from qnbench.solver import VARIANTS, SolveResult, SolverConfig, Trace
+from qnbench.solver import VARIANTS, SolverConfig
 
 
 def rec(problem, solver, seed=0, status="converged", calls=100.0, **kw):
@@ -184,9 +183,7 @@ class TestRunMatrix:
 class TestAggregation:
     def test_a_run_is_priced_by_the_metric(self):
         def record(status):
-            empty = Trace([array("d") for _ in range(6)] + [array("q") for _ in range(3)])
-            res = SolveResult(status, np.zeros(2), empty, 7, 5, math.nan, math.nan, 0)
-            return record_from_result("sphere_n2", "ours", 0, res, 1.5)
+            return RunRecord("sphere_n2", "ours", 0, status, 7, 5, 0, math.nan, math.nan, 1.5)
 
         r = record("converged")
         assert (r.status, r.f_calls, r.g_calls, r.iters, r.wall_ms) == ("converged", 7, 5, 0, 1.5)
@@ -387,7 +384,11 @@ class TestCsv:
         ("p,s,0,converged,7.0,5,4,0.0,0.0,1.5", "runs line 3: f_calls '7.0' is not a valid int"),
         ("p,s,0,converged,7,5,4,abc,0.0,1.5", "runs line 3: final_f_bar 'abc' is not a valid float"),
         ("p,s,0,converged,7,5,4,0.0,0.0," + "1" * 200_000, "runs line 3: field larger than field limit (131072)"),
-    ], ids=["short", "long", "int", "float_as_int", "float", "csv_error"])
+        ('p,s,1,"converged,7,8,3,0.5,0.001,1.0', "runs line 3: a quoted field is not closed"),
+        ("p,s,0,converged,-4,5,4,0.0,0.0,1.5", "runs line 3: f_calls '-4' is negative"),
+        ("p,s,0,Converged,7,5,4,0.0,0.0,1.5",
+         "runs line 3: status 'Converged' is not one of ('converged', 'max_iters', 'oracle_error')"),
+    ], ids=["short", "long", "int", "float_as_int", "float", "csv_error", "open_quote", "negative", "status"])
     def test_a_malformed_runs_row_is_refused_by_its_line(self, tmp_path, bad, message):
         path = tmp_path / "runs.csv"
         emit_csv([], path)
@@ -402,7 +403,9 @@ class TestCsv:
         ("0,1.0,1.0,1.0,0.0,1.0,0.0,0,2,1,", "trace line 2: too many fields (11, the header has 10)"),
         ("0,1.0,1.0,1.0,0.0,1.0,0.0,one,2,1", "trace line 2: rejections 'one' is not a valid int"),
         ("0,1.0,,1.0,0.0,1.0,0.0,0,2,1", "trace line 2: g_inf '' is not a valid float"),
-    ], ids=["short", "long", "int", "float"])
+        ('0,1.0,"1.0,1.0,0.0,1.0,0.0,0,2,1', "trace line 2: a quoted field is not closed"),
+        ("0,1.0,1.0,1.0,0.0,1.0,0.0,-1,2,1", "trace line 2: rejections '-1' is negative"),
+    ], ids=["short", "long", "int", "float", "open_quote", "negative"])
     def test_a_malformed_trace_row_is_refused_by_its_line(self, tmp_path, bad, message):
         path = tmp_path / "trace.csv"
         write_trace_csv([], path)
@@ -573,7 +576,28 @@ class TestCli:
         assert [(r.problem, r.solver, r.seed) for r in read_runs_csv(runs)] == [("sphere_n10", "ours", 0)]
         assert [p.name for p in traces.iterdir()] == ["sphere_n10__ours__seed0.csv"]
 
-    @pytest.mark.parametrize("option, name", [("--out", "runs.csv"), ("--trace-dir", "traces")])
+    def test_a_run_plans_its_matrix_once(self, monkeypatch, tmp_path):
+        # The command runs the plan it makes for its refusals; it does not
+        # plan again, whether or not it keeps the traces.
+        plans = []
+        plan = bench_mod._plan
+
+        def counted(*args, **kwargs):
+            plans.append(args)
+            return plan(*args, **kwargs)
+
+        for module in (bench_mod, cli_mod):
+            monkeypatch.setattr(module, "_plan", counted)
+        args = ["run", "--suite", "sphere_n10,beale_n2", "--solver", "ours", "--kmax", "5", "--seeds", "0,1"]
+        for extra in ([], ["--trace-dir", str(tmp_path / "traces")]):
+            plans.clear()
+            result = CliRunner().invoke(main, args + ["--out", str(tmp_path / "runs.csv")] + extra)
+            assert result.exit_code == 0, result.output
+            assert len(plans) == 1
+            assert len(read_runs_csv(tmp_path / "runs.csv")) == 4
+        assert len(list((tmp_path / "traces").iterdir())) == 4
+
+    @pytest.mark.parametrize("option, name",[("--out", "runs.csv"), ("--trace-dir", "traces")])
     def test_an_output_below_a_file_fails_before_any_run(self, monkeypatch, tmp_path, option, name):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
@@ -983,7 +1007,11 @@ class TestProfileCommand:
         ("problem,solver,seed,status,oracle_calls\np,s,0,converged,12\n", "unexpected runs header"),
         (PROFILE_RUNS + "beale_n2,ours,2,converged\n", "runs line 19: too few fields"),
         (PROFILE_RUNS.replace("ours,0,converged,40,", "ours,0,converged,forty,"), "runs line 4: f_calls 'forty'"),
-    ], ids=["old_header", "short_row", "non_numeric"])
+        (PROFILE_RUNS.replace("ours,0,converged,40,", "ours,0,converged,-4,"), "runs line 4: f_calls '-4' is negative"),
+        (PROFILE_RUNS.replace("ours,0,converged,", "ours,0,Converged,"), "runs line 4: status 'Converged'"),
+        (PROFILE_RUNS.replace("ours,0,converged,40,20,", "ours,0,converged,0,0,"),
+         "run ('beale_n2', 'ours', 0) converged with f_calls + g_calls = 0"),
+    ], ids=["old_header", "short_row", "non_numeric", "negative", "status", "no_calls"])
     def test_a_malformed_runs_csv_is_a_usage_error(self, tmp_path, text, cause):
         runs = tmp_path / "runs.csv"
         runs.write_text(text)
