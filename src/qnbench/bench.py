@@ -427,20 +427,26 @@ _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
 def emit_svg(curves: Sequence[ProfileCurve], path) -> None:
-    """Self-contained log-x step plot with exactly one polyline per solver."""
+    """Self-contained log-x step plot with exactly one polyline per solver.
+
+    A curve that is empty, or has a tau that is not finite or is below 1,
+    is refused with a ``ValueError``.
+    """
+    from html import escape
+
+    for c in curves:
+        if not c.points or not all(1.0 <= tau < INF for tau, _ in c.points):
+            raise ValueError(f"profile curve {c.solver!r} needs points with finite tau >= 1")
     width, height = 760, 480
     ml, mr, mt, mb = 60, 170, 40, 50
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
-    tau_max = 10.0
-    for c in curves:
-        for tau, _ in c.points:
-            if math.isfinite(tau):
-                tau_max = max(tau_max, tau)
-    log_max = math.log10(tau_max) if tau_max > 1.0 else 1.0
+    # Taus ascend, so each curve's last point holds its largest.
+    tau_max = max([10.0] + [c.points[-1][0] for c in curves])
+    log_max = math.log10(tau_max)
 
     def px(tau: float) -> float:
-        return ml + (math.log10(max(tau, 1.0)) / log_max) * plot_w
+        return ml + (math.log10(tau) / log_max) * plot_w
 
     def py(rho: float) -> float:
         return mt + (1.0 - rho) * plot_h
@@ -472,25 +478,17 @@ def emit_svg(curves: Sequence[ProfileCurve], path) -> None:
 
     for i, curve in enumerate(curves):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts: list[tuple[float, float]] = []
-        prev_rho = 0.0
-        finite_pts = [(t, r) for t, r in curve.points if math.isfinite(t)]
-        if not finite_pts:
-            finite_pts = [(1.0, 0.0)]
-        for j, (tau, rho) in enumerate(finite_pts):
-            if j == 0:
-                pts.append((px(tau), py(rho)))
-            else:
-                pts.append((px(tau), py(prev_rho)))
-                pts.append((px(tau), py(rho)))
-            prev_rho = rho
-        pts.append((ml + plot_w, py(prev_rho)))
+        pts = [(px(curve.points[0][0]), py(curve.points[0][1]))]
+        for (_, prev_rho), (tau, rho) in zip(curve.points, curve.points[1:]):
+            pts.append((px(tau), py(prev_rho)))
+            pts.append((px(tau), py(rho)))
+        pts.append((ml + plot_w, py(curve.points[-1][1])))
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
         ly = mt + 16 + 20 * i
         parts.append(
             f'<text x="{ml + plot_w + 14}" y="{ly}" font-family="sans-serif" font-size="13" '
-            f'fill="{color}">{curve.solver}</text>'
+            f'fill="{color}">{escape(curve.solver, quote=False)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts))

@@ -2,14 +2,16 @@
 
 A :class:`NoisyOracle` wraps a clean problem behind the only evaluation
 surface a solver sees: it injects the configured noise model into objective
-and gradient evaluations and counts every call. Three models are supported:
+and gradient evaluations and counts every call. Each call evaluates the
+clean problem once; a kind acts either on its input or on its value. Three
+models are supported:
 
 * ``exact`` passes values through unchanged,
-* ``additive_uniform`` adds independent uniform draws from
-  ``[-level, +level]`` to the objective and to each gradient component,
-* ``precision_cast`` rounds the *input* vector to a narrower IEEE-754
-  format (binary32/16, round-to-nearest-even) and evaluates the clean
-  functions on the rounded point in full precision.
+* ``additive_uniform`` acts on the value: it adds independent uniform draws
+  from ``[-level, +level]`` to the objective and to each gradient component,
+* ``precision_cast`` acts on the input: it rounds the vector to a narrower
+  IEEE-754 format (binary32/16, round-to-nearest-even) and evaluates the
+  clean functions on the rounded point in full precision.
 
 Evaluation in binary64 is the ``exact`` model itself, so no cast names it.
 
@@ -181,10 +183,8 @@ class NoisyOracle:
             x = np.asarray(x, dtype=float)
         self.f_calls += 1
         kind = self.model.kind
-        if kind == "exact":
-            val = self.problem.f(x)
-        elif kind == "additive_uniform":
-            val = self.problem.f(x)
+        val = self.problem.f(self._cast_input(x) if kind == "precision_cast" else x)
+        if kind == "additive_uniform":
             # One value of the noise stream, drawn after the evaluation.
             used = self._used
             if used < self._block.size:
@@ -192,8 +192,6 @@ class NoisyOracle:
                 val = val + self._block[used]
             else:
                 val = val + self._uniform(1)[0]
-        else:
-            val = self.problem.f(self._cast_input(x))
         if not math.isfinite(val):
             raise OracleError(f"non-finite objective under {kind} model")
         return float(val)
@@ -203,16 +201,10 @@ class NoisyOracle:
         x = np.asarray(x, dtype=float)
         self.g_calls += 1
         kind = self.model.kind
-        if kind == "exact":
-            g = self.problem.grad(x)
-        elif kind == "additive_uniform":
-            g = self.problem.grad(x)
-            if self.model.grad_mode == "percomp":
-                g = g + self._uniform(g.size)
-            else:
-                g = g + self._uniform(1)[0]
-        else:
-            g = self.problem.grad(self._cast_input(x))
+        g = self.problem.grad(self._cast_input(x) if kind == "precision_cast" else x)
+        if kind == "additive_uniform":
+            # A rank1 draw of length 1 broadcasts to every component.
+            g = g + self._uniform(g.size if self.model.grad_mode == "percomp" else 1)
         if not np.isfinite(g).all():
             raise OracleError(f"non-finite gradient under {kind} model")
         return np.asarray(g, dtype=float)

@@ -228,7 +228,9 @@ class SolveResult:
 
     ``status`` is one of ``STATUSES``: ``converged``, ``max_iters`` or
     ``oracle_error``, where the oracle refused a point, or a finite
-    gradient's squared norm overflowed. An ``oracle_error`` result keeps the
+    gradient's squared norm overflowed. The iterate after the ``k_max``-th
+    iteration takes the stop test too, so ``max_iters`` means that it
+    missed the tolerance. An ``oracle_error`` result keeps the
     partial trace and call counts, and leaves ``final_f_bar``/``final_g_inf``
     NaN. ``discarded_grad_probes`` counts the searches that rescaled their
     step, and so left their rescale probe's gradient unused; a run that does not end in ``oracle_error`` has
@@ -255,7 +257,9 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     Stops when the gradient's infinity norm reaches ``cfg.eps_gtol``
     (``converged``), after ``cfg.k_max`` iterations (``max_iters``), or when
     the oracle refuses a point or a finite gradient's squared norm overflows
-    (``oracle_error``, with the partial trace).
+    (``oracle_error``, with the partial trace). The iterate after the
+    ``k_max``-th iteration takes the stop test too, so a run that meets its
+    tolerance there is ``converged``.
     """
     variant = VARIANTS[cfg.variant]
     gated = variant.mu_rule == "gated"
@@ -273,10 +277,13 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
         memory = LbfgsMemory(cfg.memory_size)
         reg = RegularizerState() if gated else None
 
-        for k in range(cfg.k_max):
+        # The iterate after the k_max-th iteration takes the stop test too.
+        for k in range(cfg.k_max + 1):
             g_inf = float(np.abs(g).max())
             if g_inf <= cfg.eps_gtol:
                 status = "converged"
+                break
+            if k == cfg.k_max:
                 break
             if variant.fresh_fk and k > 0:
                 f_bar = oracle.f_bar(x)
@@ -327,8 +334,6 @@ def solve(problem: ObjectiveProblem, noise_model: NoiseModel, cfg: SolverConfig)
     except OracleError:
         status = "oracle_error"
         f_bar = g_inf = math.nan
-    else:
-        g_inf = float(np.abs(g).max())
 
     return SolveResult(
         status, x, Trace(columns), oracle.f_calls, oracle.g_calls,

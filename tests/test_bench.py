@@ -451,6 +451,24 @@ class TestSvg:
         emit_svg([ProfileCurve("A", [(1.0, 0.0)])], path)
         assert path.read_text().count("<polyline") == 1
 
+    def test_solver_name_is_escaped(self, tmp_path):
+        from xml.etree import ElementTree
+
+        path = tmp_path / "named.svg"
+        emit_svg([ProfileCurve("a<&>b", [(1.0, 1.0)])], path)
+        labels = [t.text for t in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<&>b" in labels
+
+    @pytest.mark.parametrize(
+        "points", [[], [(1.0, 0.5), (INF, 1.0)], [(0.5, 1.0)], [(1.0, 0.5), (math.nan, 1.0)]],
+        ids=["empty", "inf", "below_one", "nan"],
+    )
+    def test_curve_without_finite_taus_from_one_is_refused(self, tmp_path, points):
+        path = tmp_path / "refused.svg"
+        with pytest.raises(ValueError, match="finite tau >= 1"):
+            emit_svg([ProfileCurve("A", [(1.0, 1.0)]), ProfileCurve("B", points)], path)
+        assert not path.exists()
+
 
 def error_line(output):
     """The line of a usage error that says what is wrong."""

@@ -93,20 +93,24 @@ def test_identical_seed_and_call_sequence_is_bit_identical():
     ids=["percomp_n10", "percomp_n10000", "rank1_n10", "percomp_n10000_grad_first"],
 )
 def test_buffered_draws_equal_the_raw_philox_stream(n, grad_mode, pattern):
-    # At x = 0 the sphere's f and grad vanish, so the oracle returns the
-    # noise itself; it must be the per-oracle stream drawn call by call.
+    # At a point where f and every gradient component are nonzero, each
+    # oracle value must be the clean one plus the next values of the
+    # per-oracle stream drawn call by call.
     level, seed = 1e-3, 2026
     model = NoiseModel(kind="additive_uniform", level=level, seed=seed, grad_mode=grad_mode)
-    o = NoisyOracle(make_sphere(n), model)
+    p = make_sphere(n)
+    o = NoisyOracle(p, model)
     ref = np.random.Generator(np.random.Philox(seed))
-    x = np.zeros(n)
+    x = np.linspace(0.5, 2.0, n)
+    f, g = p.f(x), p.grad(x)
+    assert f != 0.0 and np.all(g != 0.0)
     for call in pattern:
         if call == "f":
-            assert o.f_bar(x) == ref.uniform(-level, level)
+            assert o.f_bar(x) == f + ref.uniform(-level, level)
         elif grad_mode == "percomp":
-            assert np.array_equal(o.grad_bar(x), ref.uniform(-level, level, size=n))
+            assert np.array_equal(o.grad_bar(x), g + ref.uniform(-level, level, size=n))
         else:
-            assert np.array_equal(o.grad_bar(x), np.full(n, ref.uniform(-level, level)))
+            assert np.array_equal(o.grad_bar(x), g + ref.uniform(-level, level))
     draws = pattern.count("f") + pattern.count("g") * (n if grad_mode == "percomp" else 1)
     assert draws > 2 * DRAW_BLOCK
     assert (o.f_calls, o.g_calls) == (pattern.count("f"), pattern.count("g"))
@@ -120,13 +124,31 @@ def test_different_seed_differs():
 
 
 def test_counters_increment_once_per_call():
-    o = NoisyOracle(get_problem("sphere_n2"), NoiseModel())
-    x = np.array([1.0, 1.0])
-    assert (o.f_calls, o.g_calls) == (0, 0)
-    o.f_bar(x)
-    o.f_bar(x)
-    o.grad_bar(x)
-    assert (o.f_calls, o.g_calls) == (2, 1)
+    # One model per kind, and one per gradient mode of the kind that draws.
+    models = [
+        NoiseModel(),
+        NoiseModel(kind="additive_uniform", level=1e-3, seed=7),
+        NoiseModel(kind="additive_uniform", level=1e-3, seed=7, grad_mode="rank1"),
+        NoiseModel(kind="precision_cast", bits=32),
+    ]
+    assert {m.kind for m in models} == set(KINDS)
+    # Wrappers over the problem's f (its memo) and grad count every call the
+    # oracle makes, whether or not the memo answers it.
+    p = make_sphere(2)
+    memo, clean_grad = p.f, p.grad
+    calls = []
+    object.__setattr__(p, "f", lambda x: calls.append("f") or memo(x))
+    object.__setattr__(p, "grad", lambda x: calls.append("g") or clean_grad(x))
+    for model in models:
+        o = NoisyOracle(p, model)
+        calls.clear()
+        assert (o.f_calls, o.g_calls) == (0, 0)
+        # Distinct points, exact in binary32.
+        o.f_bar(np.array([2.0, 1.0]))
+        o.f_bar(np.array([3.0, 1.0]))
+        o.grad_bar(np.array([4.0, 1.0]))
+        assert (o.f_calls, o.g_calls) == (2, 1)
+        assert calls == ["f", "f", "g"], model
 
 
 def test_precision_cast_binary16_rounding():

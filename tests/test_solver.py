@@ -79,6 +79,15 @@ def test_no_gtol_stop_runs_exactly_k_max_iterations():
     assert [t.k for t in res.trace] == list(range(10))
 
 
+@pytest.mark.parametrize("k_max", [1, 2])
+def test_iterate_after_the_last_iteration_takes_the_stop_test(k_max):
+    # One exact sphere iteration lands on the minimizer: a run capped at
+    # that one iteration meets its tolerance as a run capped at two does.
+    res = solve(get_problem("sphere_n10"), NoiseModel(), SolverConfig(k_max=k_max))
+    assert (res.status, res.iterations, res.final_g_inf) == ("converged", 1, 0.0)
+    assert (res.f_calls, res.g_calls) == (2, 2)
+
+
 def test_baseline_matches_ours_on_easy_convex_problem():
     p = get_problem("sphere_n100")
     r1 = solve(p, NoiseModel(), exact(eps_gtol=1e-8, variant="ours"))
@@ -495,6 +504,7 @@ def test_whole_loop_properties(run):
     assert res.iterations <= cfg.k_max
     if res.status == "max_iters":
         assert res.iterations == cfg.k_max
+        assert not res.final_g_inf <= cfg.eps_gtol
     if res.status == "converged":
         assert res.final_g_inf <= cfg.eps_gtol
     if res.status != "oracle_error":
