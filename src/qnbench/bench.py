@@ -57,7 +57,8 @@ class RunRecord:
     wall_ms: float
 
 
-# A CSV column per record field, in field order.
+# A CSV column per record field, in field order: each file's writer and its
+# reader take its columns from the one header.
 RUNS_HEADER = [f.name for f in fields(RunRecord)]
 TRACE_HEADER = [f.name for f in fields(IterationRecord)]
 PROFILE_HEADER = ["solver", "tau", "rho"]
@@ -100,8 +101,8 @@ def _execute(task, keep_trace: bool):
 
 
 def _plan(
-    suite: Sequence[str],
-    solvers: Sequence[str],
+    suite: Iterable[str],
+    solvers: Iterable[str],
     noise: NoiseModel,
     eps_gtol: float,
     seeds: Iterable[int],
@@ -124,7 +125,7 @@ def _plan(
     """
     if not isinstance(parallelism, int) or isinstance(parallelism, bool) or parallelism < 1:
         raise ValueError(f"parallelism must be a positive int, got {parallelism!r}")
-    seeds = list(seeds)
+    suite, solvers, seeds = list(suite), list(solvers), list(seeds)
     for seed in seeds:
         # A bool is an int, but a record would keep and write it as True.
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -167,8 +168,8 @@ def _plan(
 
 
 def run_matrix(
-    suite: Sequence[str],
-    solvers: Sequence[str],
+    suite: Iterable[str],
+    solvers: Iterable[str],
     noise: NoiseModel,
     eps_gtol: float,
     seeds: Iterable[int],
@@ -194,7 +195,8 @@ def run_matrix(
     ``eps_f`` is the slack of the relaxed Armijo test, so it reaches only
     the solvers whose variant has a ``slack``; every other solver runs with
     ``eps_f = 0``. A record holds no cost: a profile prices it (see
-    :func:`aggregate_seeds`).
+    :func:`aggregate_seeds`). The problem, solver and seed lists may be any
+    iterables; each is read once.
 
     These fail before any run, with a ``ValueError`` unless noted:
 
@@ -283,7 +285,7 @@ def aggregate_seeds(records: Sequence[RunRecord], metric: str = METRICS[0]) -> d
     return agg
 
 
-def performance_profile(records: Sequence[RunRecord], metric: str = METRICS[0]) -> list[ProfileCurve]:
+def performance_profile(records: Iterable[RunRecord], metric: str = METRICS[0]) -> list[ProfileCurve]:
     """One profile curve per solver in ``records``, in the order the solvers
     first appear, over the problems where at least one solver succeeded.
     Each run costs what ``metric`` counts (see :func:`aggregate_seeds`).
@@ -292,7 +294,8 @@ def performance_profile(records: Sequence[RunRecord], metric: str = METRICS[0]) 
     runs have infinite ratio and never enter any curve value. To profile
     fewer solvers, pass only their records. Problems failed by every solver
     are dropped with a warning that counts them. No records, and a run that
-    two records share, are refused with a ``ValueError``.
+    two records share, are refused with a ``ValueError``. ``records`` may be
+    any iterable; it is read once.
     """
     curves, _, dropped = _profile(records, metric)
     if dropped:
@@ -301,12 +304,13 @@ def performance_profile(records: Sequence[RunRecord], metric: str = METRICS[0]) 
 
 
 def _profile(
-    records: Sequence[RunRecord], metric: str = METRICS[0]
+    records: Iterable[RunRecord], metric: str = METRICS[0]
 ) -> tuple[list[ProfileCurve], list[str], list[str]]:
     """:func:`performance_profile` with the counted and dropped problems of
     the one seed aggregation it runs, and no warning: its caller reports the
     dropped ones. No records, which give no solver a curve, are refused
     with a ``ValueError``."""
+    records = list(records)
     if not records:
         raise ValueError("no run records to profile")
     solvers = list(dict.fromkeys(r.solver for r in records))
@@ -333,24 +337,14 @@ def _profile(
     return curves, kept, dropped
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header: Sequence[str], rows: Iterable) -> None:
+    """Write ``header`` and then ``rows``. ``csv`` writes each value that is
+    not a string with ``str``, which for a float, a numpy float64 included,
+    is the shortest decimal that reads back to the same bits."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _record_rows(cls, records: Iterable) -> Iterable[list[str]]:
-    """One row per dataclass record: every field in order, floats in full
-    precision so that a read round-trips exactly."""
-    values = attrgetter(*(f.name for f in fields(cls)))
-    return ([_fmt(v) for v in values(r)] for r in records)
 
 
 def _read_records(path, cls, header: Sequence[str], kind: str, choices: Optional[dict] = None) -> list:
@@ -401,13 +395,11 @@ def _parse_row(row: Sequence[str], parsers, kind: str, line: int) -> list:
 
 
 def emit_csv(items: Sequence, path) -> None:
-    """Write run records or profile curves; floats keep full precision so a
-    read round-trips exactly."""
+    """Write run records or profile curves."""
     if items and isinstance(items[0], ProfileCurve):
-        rows = ([c.solver, _fmt(tau), _fmt(rho)] for c in items for tau, rho in c.points)
-        _write_csv(path, PROFILE_HEADER, rows)
+        _write_csv(path, PROFILE_HEADER, ((c.solver, tau, rho) for c in items for tau, rho in c.points))
     else:
-        _write_csv(path, RUNS_HEADER, _record_rows(RunRecord, items))
+        _write_csv(path, RUNS_HEADER, map(attrgetter(*RUNS_HEADER), items))
 
 
 def read_runs_csv(path) -> list[RunRecord]:
@@ -416,7 +408,7 @@ def read_runs_csv(path) -> list[RunRecord]:
 
 
 def write_trace_csv(trace: Sequence[IterationRecord], path) -> None:
-    _write_csv(path, TRACE_HEADER, _record_rows(IterationRecord, trace))
+    _write_csv(path, TRACE_HEADER, map(attrgetter(*TRACE_HEADER), trace))
 
 
 def read_trace_csv(path) -> list[IterationRecord]:
@@ -426,14 +418,16 @@ def read_trace_csv(path) -> list[IterationRecord]:
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def emit_svg(curves: Sequence[ProfileCurve], path) -> None:
-    """Self-contained log-x step plot with exactly one polyline per solver.
+def emit_svg(curves: Iterable[ProfileCurve], path) -> None:
+    """Self-contained log-x step plot with exactly one polyline per solver;
+    ``curves`` may be any iterable, read once.
 
     A curve that is empty, or has a tau that is not finite or is below 1,
     is refused with a ``ValueError``.
     """
     from html import escape
 
+    curves = list(curves)
     for c in curves:
         if not c.points or not all(1.0 <= tau < INF for tau, _ in c.points):
             raise ValueError(f"profile curve {c.solver!r} needs points with finite tau >= 1")

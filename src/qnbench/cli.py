@@ -117,6 +117,11 @@ def run_command(suite, solvers, noise, eps_f, gtol, kmax, seeds, jobs, out_path,
               help="A run's cost: objective+gradient calls or objective calls only.")
 def profile_command(in_path, out_path, svg_path, metric):
     """Compute performance-profile curves from a runs CSV."""
+    # An output on the input or on the other output would replace that file.
+    seen = {}  # resolved path -> the option that names it
+    for option, path in (("--in", in_path), ("--out", out_path), ("--svg", svg_path)):
+        if path is not None and (first := seen.setdefault(Path(path).resolve(), option)) != option:
+            raise click.UsageError(f"{first} and {option} name the same file {path}")
     try:
         curves, kept, dropped = _profile(read_runs_csv(in_path), metric)
     except ValueError as exc:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import math
 from dataclasses import fields, replace
@@ -30,7 +31,7 @@ from qnbench.bench import (
 from qnbench.cli import main, parse_eps_f, parse_noise, parse_seeds
 from qnbench.lbfgs import LbfgsMemory
 from qnbench.noise import NoiseModel
-from qnbench.solver import VARIANTS, SolverConfig
+from qnbench.solver import VARIANTS, IterationRecord, SolverConfig
 
 
 def rec(problem, solver, seed=0, status="converged", calls=100.0, **kw):
@@ -125,13 +126,16 @@ class TestRunMatrix:
         args = (["sphere_n10", "beale_n2"], ["ours", "baseline_line"], model, 1e-2, [0, 1])
         seq = run_matrix(*args, parallelism=1, base_cfg=SMALL_CFG)
         par = run_matrix(*args, parallelism=2, base_cfg=SMALL_CFG)
-        for group in (seq, par):
+        # One-shot iterables run the matrix that their lists run.
+        once = run_matrix(iter(args[0]), (s for s in args[1]), model, 1e-2, iter(args[4]), base_cfg=SMALL_CFG)
+        for group in (seq, par, once):
             for r in group:
                 r.wall_ms = 0.0
-        p1, p2 = tmp_path / "seq.csv", tmp_path / "par.csv"
+        p1, p2, p3 = tmp_path / "seq.csv", tmp_path / "par.csv", tmp_path / "once.csv"
         emit_csv(seq, p1)
         emit_csv(par, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        emit_csv(once, p3)
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
     def test_failed_run_is_priced_infinite(self):
         cfg = SolverConfig(k_max=3)
@@ -283,6 +287,7 @@ class TestPerformanceProfile:
             records.append(rec(p, "A", calls=100.0 + i))
             records.append(rec(p, "B", calls=130.0 + 40 * i))
         curves = performance_profile(records)
+        assert performance_profile(r for r in records) == curves
         for c in curves:
             rhos = [r for _, r in c.points]
             assert all(b >= a for a, b in zip(rhos, rhos[1:]))
@@ -335,6 +340,31 @@ class TestCsv:
         path = tmp_path / "runs.csv"
         emit_csv(records, path)
         assert repr(read_runs_csv(path)) == repr(records)
+
+        # A numpy scalar, such as a column computed with numpy holds, is
+        # written as the shortest decimal that reads back to the same bits.
+        def bits(record):
+            return [float(v).hex() if isinstance(v, float) else v for v in vars(record).values()]
+
+        values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1 + 0.2]
+        records = [
+            RunRecord("p", "s", np.int64(i), "converged", np.int64(7), np.int64(5), np.int64(4),
+                      np.float64(v), np.float64(-v), np.float64(v))
+            for i, v in enumerate(values)
+        ]
+        emit_csv(records, path)
+        assert [bits(r) for r in read_runs_csv(path)] == [bits(r) for r in records]
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[7:] for row in rows] == [[repr(v), repr(-v), repr(v)] for v in values]
+        trace = [
+            IterationRecord(np.int64(0), *map(np.float64, values), np.int64(0), np.int64(2), np.int64(1)),
+            IterationRecord(np.int64(1), *map(np.float64, [-v for v in values]), np.int64(3), np.int64(9), np.int64(2)),
+        ]
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert [bits(r) for r in read_trace_csv(tmp_path / "trace.csv")] == [bits(r) for r in trace]
+        with (tmp_path / "trace.csv").open(newline="") as fh:
+            assert list(csv.reader(fh))[1][1:7] == [repr(v) for v in values]
 
     def test_a_file_with_another_header_is_refused(self, tmp_path):
         runs, trace, empty = tmp_path / "runs.csv", tmp_path / "trace.csv", tmp_path / "empty.csv"
@@ -417,11 +447,13 @@ class TestCsv:
 
     def test_profile_csv(self, tmp_path):
         curves = [ProfileCurve("A", [(1.0, 0.5), (2.0, 1.0)])]
+        curves.append(ProfileCurve("B", [(np.float64(1.0), np.float64(0.25)), (np.float64(1.5), np.float64(1.0))]))
         path = tmp_path / "profile.csv"
         emit_csv(curves, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "solver,tau,rho"
         assert lines[1] == "A,1.0,0.5"
+        assert lines[3:] == ["B,1.0,0.25", "B,1.5,1.0"]
 
     def test_trace_round_trip_bit_exact(self, tmp_path):
         _, traces = run_matrix(
@@ -445,6 +477,9 @@ class TestSvg:
         assert text.count("<polyline") == 2
         assert text.startswith("<svg")
         assert "href" not in text  # self-contained
+        once = tmp_path / "once.svg"
+        emit_svg((c for c in curves), once)
+        assert once.read_bytes() == path.read_bytes()
 
     def test_flat_zero_curve_renders(self, tmp_path):
         path = tmp_path / "flat.svg"
@@ -1020,6 +1055,25 @@ class TestProfileCommand:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv"]
+
+    @pytest.mark.parametrize(("out", "svg", "options"), [
+        ("runs.csv", None, "--in and --out"),
+        ("p.csv", "./runs.csv", "--in and --svg"),
+        ("p.csv", "sub/../p.csv", "--out and --svg"),
+    ], ids=["in_out", "in_svg", "out_svg"])
+    def test_two_options_on_one_file_are_a_usage_error(self, tmp_path, out, svg, options):
+        # The profile would replace the user's runs file, or the SVG the
+        # profile CSV.
+        runs = tmp_path / "runs.csv"
+        runs.write_text(PROFILE_RUNS)
+        before = runs.read_bytes()
+        (tmp_path / "sub").mkdir()
+        args = ["profile", "--in", str(runs), "--out", str(tmp_path / out)]
+        result = CliRunner().invoke(main, args + (["--svg", f"{tmp_path}/{svg}"] if svg else []))
+        assert result.exit_code == 2, result.output
+        assert f"{options} name the same file" in error_line(result.output)
+        assert runs.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv", "sub"]
 
     @pytest.mark.parametrize(("text", "cause"), [
         ("problem,solver,seed,status,oracle_calls\np,s,0,converged,12\n", "unexpected runs header"),
